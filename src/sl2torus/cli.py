@@ -74,12 +74,21 @@ def _check_unique_ids(records, path):
         seen.add(rec["id"])
 
 
-def _entry_float(e):
-    return e[0] / e[1] if isinstance(e, list) else float(e)
+def _check_denominator(e, where):
+    if e[1] == 0:
+        raise ParseFailure(f"{where}: zero denominator in entry {e!r}")
+
+
+def _entry_float(e, where):
+    if isinstance(e, list):
+        _check_denominator(e, where)
+        return e[0] / e[1]
+    return float(e)
 
 
 def _entry_fraction(e, where):
     if isinstance(e, list):
+        _check_denominator(e, where)
         return Fraction(e[0], e[1])
     if isinstance(e, int):
         return Fraction(e)
@@ -87,9 +96,9 @@ def _entry_fraction(e, where):
                        f"[num, den] entries, got {e!r}")
 
 
-def _matrix_floats(m):
-    return (_entry_float(m[0][0]), _entry_float(m[0][1]),
-            _entry_float(m[1][0]), _entry_float(m[1][1]))
+def _matrix_floats(m, where):
+    return (_entry_float(m[0][0], where), _entry_float(m[0][1], where),
+            _entry_float(m[1][0], where), _entry_float(m[1][1], where))
 
 
 def _matrix_fractions(m, where):
@@ -153,8 +162,8 @@ def _classify_record(rec, args, cfg):
         if not allowed_combination(t1.tag, t2.tag):
             raise ForbiddenCombo((t1.tag, t2.tag))
     else:
-        U1 = make_sl2(*_matrix_floats(rec["U1"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec["U2"]), cfg)
+        U1 = make_sl2(*_matrix_floats(rec["U1"], rec["id"]), cfg)
+        U2 = make_sl2(*_matrix_floats(rec["U2"], rec["id"]), cfg)
         p = make_pair(U1, U2, cfg)
         from .pairs import coarse_combo
         from .sl2 import classify
@@ -227,8 +236,8 @@ def _canon_record(rec, args, cfg):
             tr = f2[0] + f2[3]
             exact["cos_phi"] = [tr.numerator, 2 * tr.denominator]
     else:
-        U1 = make_sl2(*_matrix_floats(rec["U1"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec["U2"]), cfg)
+        U1 = make_sl2(*_matrix_floats(rec["U1"], rec["id"]), cfg)
+        U2 = make_sl2(*_matrix_floats(rec["U2"], rec["id"]), cfg)
     p = make_pair(U1, U2, cfg)
     result = canonicalize(p, cfg)
     out = {
@@ -250,8 +259,8 @@ def _canon_record(rec, args, cfg):
 def _equiv_record(rec, args, cfg):
     sides = {}
     for side in ("left", "right"):
-        U1 = make_sl2(*_matrix_floats(rec[side]["U1"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec[side]["U2"]), cfg)
+        U1 = make_sl2(*_matrix_floats(rec[side]["U1"], rec["id"]), cfg)
+        U2 = make_sl2(*_matrix_floats(rec[side]["U2"], rec["id"]), cfg)
         sides[side] = make_pair(U1, U2, cfg)
     cl = canonicalize(sides["left"], cfg)
     cr = canonicalize(sides["right"], cfg)

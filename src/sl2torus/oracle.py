@@ -1,22 +1,48 @@
-"""Construction-free verification tools: a direct numerical search for a
+"""Construction-free verification tools: a direct linear-algebra solve for a
 conjugator between two pairs, and exact-rational classification for
-boundary cases."""
+boundary cases.
+
+The conjugator solve uses nothing of the canonical construction (no
+eigenvectors, no sectors).  ``S^-1 U_i S = V_i`` holds exactly when
+``U_i S - S V_i = 0``, which is linear in ``vec S = (a, b, c, d)``
+(the Kronecker/vec form of the Sylvester equation).  The solutions of both
+equations form the intertwiner space; the pairs are SL(2,R)-conjugate
+exactly when the determinant, a quadratic form on that space, takes a
+positive value there.
+"""
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.optimize import minimize as scipy_minimize
+import numpy as np
 
 from .errors import DeterminantError
 from .pairs import CommutingPair
-from .sl2 import SL2Matrix, SpectralType
+from .sl2 import IDENTITY, SL2Matrix, SpectralType
 
 CONVERGENCE_THRESHOLD = 1e-8
 DISTINCT_FLOOR = 1e-3  # empirical separation, not a mathematical claim
+
+# A right singular vector of the Sylvester system spans part of the
+# intertwiner space when its singular value is at most
+# RANK_TOL * max(1, largest singular value).
+RANK_TOL = 1e-9
+# On an orthonormal basis of the intertwiner space the determinant form has
+# eigenvalues in [-1/2, 1/2]; the pairs count as conjugate only when the
+# largest exceeds SIGN_TOL.  For reflection (det -1) twins of BC and CB it
+# is exactly 0.
+SIGN_TOL = 1e-9
+
+# det S = a d - b c = s^T J s for s = (a, b, c, d)
+_DET_FORM = np.array([
+    [0.0, 0.0, 0.0, 0.5],
+    [0.0, 0.0, -0.5, 0.0],
+    [0.0, -0.5, 0.0, 0.0],
+    [0.5, 0.0, 0.0, 0.0],
+])
 
 
 def sl2_from_coords(omega: float, s: float, x: float) -> SL2Matrix:
@@ -40,26 +66,21 @@ class ConjugatorSearchReport:
     converged: bool
 
 
-def _residual(coords, p: CommutingPair, q: CommutingPair) -> float:
-    S = sl2_from_coords(*coords)
-    Si = S.inv()
-    r = 0.0
-    for U, V in ((p.U1, q.U1), (p.U2, q.U2)):
-        M = Si @ U @ S
-        r = max(
-            r,
-            abs(M.a - V.a), abs(M.b - V.b),
-            abs(M.c - V.c), abs(M.d - V.d),
-        )
-    return r
+def _sylvester_rows(U: SL2Matrix, V: SL2Matrix):
+    """The four rows of U S - S V as a linear map of vec S = (a, b, c, d)."""
+    return [
+        [U.a - V.a, -V.c, U.b, 0.0],
+        [-V.b, U.a - V.d, 0.0, U.b],
+        [U.c, 0.0, U.d - V.a, -V.c],
+        [0.0, U.c, -V.b, U.d - V.d],
+    ]
 
 
-def _minimize(f, x0, max_evals, xatol, fatol):
-    res = scipy_minimize(
-        f, x0, method="Nelder-Mead",
-        options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol},
-    )
-    return list(res.x), float(res.fun), int(res.nfev)
+def _unit_det(s) -> SL2Matrix:
+    """The matrix of vec s (det s > 0) rescaled to determinant one."""
+    a, b, c, d = (float(x) for x in s)
+    k = 1.0 / math.sqrt(a * d - b * c)
+    return SL2Matrix(a * k, b * k, c * k, d * k)
 
 
 def search_conjugator(
@@ -69,54 +90,42 @@ def search_conjugator(
     starts: int = 100,
     seed: int = 0,
 ) -> ConjugatorSearchReport:
-    """Multi-start derivative-free (simplex) minimization of the conjugation
-    residual over the three-parameter group coordinates.  Non-convergence is
-    data, not an error."""
-    rng = random.Random(seed)
-    start_points = []
-    for i in range(8):
-        for s in (-1.0, 0.0, 1.0):
-            for x in (-1.5, 0.0, 1.5):
-                start_points.append((i * math.pi / 4.0, s, x))
-    while len(start_points) < starts:
-        start_points.append(
-            (rng.uniform(0.0, 2 * math.pi), rng.uniform(-2, 2), rng.uniform(-3, 3))
-        )
-    start_points = start_points[:starts]
+    """Solve for S in SL(2,R) with S^-1 p.U_i S = q.U_i, i = 1, 2.
 
-    f = lambda c: _residual(c, p, q)
-    total = 0
-    best = None
-    best_r = math.inf
-    # coarse pass over every start, then polish the most promising ones
-    coarse = []
-    per_start = max(60, budget // (4 * starts))
-    for x0 in start_points:
-        x, fx, ev = _minimize(f, x0, per_start, 1e-6, 1e-12)
-        total += ev
-        coarse.append((fx, x))
-        if fx < best_r:
-            best_r, best = fx, x
-        if best_r <= CONVERGENCE_THRESHOLD:
-            break
-    if best_r > CONVERGENCE_THRESHOLD:
-        coarse.sort(key=lambda t: t[0])
-        for fx, x in coarse[:5]:
-            if total >= budget:
-                break
-            x, fx, ev = _minimize(
-                f, x, min(5000, budget - total), 1e-15, 1e-16
-            )
-            total += ev
-            if fx < best_r:
-                best_r, best = fx, x
-            if best_r <= CONVERGENCE_THRESHOLD:
-                break
+    The two Sylvester equations U_i S - S V_i = 0 stack into one 8x4
+    system M vec S = 0.  Right singular vectors of M whose singular value is
+    at most RANK_TOL * max(1, sigma_max) span the intertwiner space N (for
+    commuting pairs of dimension 0, 2 or 4).  When the largest eigenvalue of
+    the determinant form restricted to N exceeds SIGN_TOL, its eigenvector,
+    mapped back into N and rescaled to det 1, is the conjugator.  Otherwise
+    the pairs are not conjugate, and ``best_S`` is the least-singular vector
+    of M rescaled to det 1 when its det exceeds SIGN_TOL, else the identity.
+
+    ``residual`` is the largest entry of S^-1 p.U_i S - q.U_i recomputed
+    from ``best_S``, and ``converged`` is ``residual <=
+    CONVERGENCE_THRESHOLD``.  Non-convergence is data, not an error.
+    ``iterations`` is the number of solves (1).  ``budget``, ``starts`` and
+    ``seed`` are accepted for compatibility and do not change the result.
+    """
+    M = np.array(_sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2))
+    _, sv, vt = np.linalg.svd(M)
+    null = vt[sv <= RANK_TOL * max(1.0, sv[0])]
+    s = vt[-1]
+    if len(null):
+        w, v = np.linalg.eigh(null @ _DET_FORM @ null.T)
+        if w[-1] > SIGN_TOL:
+            s = v[:, -1] @ null
+    S = _unit_det(s) if s @ _DET_FORM @ s > SIGN_TOL else IDENTITY
+    Si = S.inv()
+    residual = max(
+        (Si @ U @ S).max_abs_diff(V)
+        for U, V in ((p.U1, q.U1), (p.U2, q.U2))
+    )
     return ConjugatorSearchReport(
-        best_S=sl2_from_coords(*best),
-        residual=best_r,
-        iterations=total,
-        converged=best_r <= CONVERGENCE_THRESHOLD,
+        best_S=S,
+        residual=residual,
+        iterations=1,
+        converged=residual <= CONVERGENCE_THRESHOLD,
     )
 
 

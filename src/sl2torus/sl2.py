@@ -99,7 +99,8 @@ def commutator_norm(U1: SL2Matrix, U2: SL2Matrix) -> float:
 def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     """Validating constructor; rejects (never renormalizes) non-unit det."""
     det = a * d - b * c
-    if abs(det - 1.0) > cfg.det_tol:
+    # written so that a NaN determinant fails too
+    if not abs(det - 1.0) <= cfg.det_tol:
         raise DeterminantError(det)
     return SL2Matrix(float(a), float(b), float(c), float(d))
 

@@ -113,6 +113,16 @@ def test_parse_error_missing_file(tmp_path):
     assert main(["classify", str(tmp_path / "absent.json")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_parse_error_zero_denominator(tmp_path, capsys, mode):
+    doc = pair_doc(([[1, [1, 0]], [0, 1]], IDENT))
+    doc["pairs"][0]["mode"] = mode
+    inp = write_doc(tmp_path, doc)
+    assert main(["canon", inp]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "p0" in err and "zero denominator" in err
+
+
 # --- canon ----------------------------------------------------------------
 
 

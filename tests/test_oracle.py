@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sl2torus
 from sl2torus import (
     DeterminantError,
     ToleranceConfig,
@@ -12,6 +17,7 @@ from sl2torus import (
     exact_classify,
     make_pair,
     make_sl2,
+    reconstruct,
     rotation,
     search_conjugator,
     sl2_from_coords,
@@ -89,6 +95,68 @@ def test_search_within_each_sector(sector):
     q = make_pair(q0.U1, q0.U2)
     report = search_conjugator(base, q, seed=4)
     assert report.converged, (sector, report.residual)
+
+
+def _recomputed_residual(p, q, S):
+    got = apply_conjugation(p, S)
+    return max(got.U1.max_abs_diff(q.U1), got.U2.max_abs_diff(q.U2))
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_search_witness_is_unit_det_and_residual_honest(sector):
+    base = sample_sector(sector, seed=8, conjugate=False)
+    q0 = apply_conjugation(base, random_sl2(random.Random(29)))
+    q = make_pair(q0.U1, q0.U2)
+    report = search_conjugator(base, q)
+    assert report.converged
+    assert report.best_S.det() == pytest.approx(1.0, abs=1e-9)
+    assert _recomputed_residual(base, q, report.best_S) == \
+        pytest.approx(report.residual, rel=1e-9, abs=1e-15)
+
+
+# det -1 twins: GL(2,R)- but not SL(2,R)-conjugate.  For BC and CB the
+# largest value of the determinant form on the intertwiners is exactly 0.
+DET_MINUS_ONE_TWINS = [
+    ("BC", {"eps1": -1, "eps2": 1, "eps4": 1},
+     {"eps1": -1, "eps2": 1, "eps4": -1}),
+    ("CB", {"eps1": 1, "eps2": -1, "eps3": 1},
+     {"eps1": 1, "eps2": -1, "eps3": -1}),
+    ("CC", {"eps1": 1, "eps2": -1, "alpha": math.pi / 4},
+     {"eps1": 1, "eps2": -1, "alpha": math.pi / 4 + math.pi}),
+    ("BD", {"eps1": 1, "phi": 2.0}, {"eps1": 1, "phi": 2 * math.pi - 2.0}),
+    ("DB", {"theta": 0.8, "eps2": -1},
+     {"theta": 2 * math.pi - 0.8, "eps2": -1}),
+    ("DD", {"theta": 1.0, "phi": 4.0},
+     {"theta": 2 * math.pi - 1.0, "phi": 2 * math.pi - 4.0}),
+]
+
+
+@pytest.mark.parametrize("sector,params,twin_params", DET_MINUS_ONE_TWINS,
+                         ids=[c[0] for c in DET_MINUS_ONE_TWINS])
+def test_search_rejects_det_minus_one_twins(sector, params, twin_params):
+    rng = random.Random(31)
+    p = reconstruct(sector, params)
+    for _ in range(5):
+        q0 = apply_conjugation(reconstruct(sector, twin_params),
+                               random_sl2(rng))
+        q = make_pair(q0.U1, q0.U2)
+        report = search_conjugator(p, q)
+        assert not report.converged
+        assert report.residual >= DISTINCT_FLOOR
+        assert report.best_S.det() == pytest.approx(1.0, abs=1e-9)
+        assert _recomputed_residual(p, q, report.best_S) == \
+            pytest.approx(report.residual, rel=1e-9, abs=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(sl2torus.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, sl2torus; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- exact classification -------------------------------------------------

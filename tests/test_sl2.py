@@ -43,6 +43,12 @@ def test_make_sl2_no_renormalization():
         make_sl2(1.001, 0, 0, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_sl2_rejects_non_finite(bad):
+    with pytest.raises(DeterminantError):
+        make_sl2(bad, 0, 0, 1)
+
+
 def test_classify_hyperbolic_diag():
     st_ = classify(make_sl2(2, 0, 0, 0.5), CFG)
     assert st_.tag == "A"
