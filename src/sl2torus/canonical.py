@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
-from .pairs import CommutingPair, coarse_combo
+from .pairs import CommutingPair, spectral_types
 from .sl2 import (
     DEFAULT_TOL,
     IDENTITY,
     SL2Matrix,
+    SpectralType,
     ToleranceConfig,
-    classify,
     conjugate,
     rotation,
 )
@@ -54,10 +54,13 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CanonTrace:
-    """Audit record of the constructive steps that produced a canonical form."""
+    """Audit record of the constructive steps that produced a canonical form.
+
+    ``c`` is the CC coupling scalar, tan(alpha) = c; on an exact pair (all
+    entries Fractions) it is computed exactly and is a Fraction."""
 
     joint_eigendirections: tuple = ()
-    c: float | None = None              # CC coupling scalar, tan(alpha) = c
+    c: float | None = None
     det_sprime_sign: int | None = None  # sign of det S' before repair
     branch_notes: tuple = ()
 
@@ -182,9 +185,9 @@ def _sl2_from_basis(v, w):
     return _columns(v, (w[0] / d, w[1] / d))
 
 
-def canon_AA(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
-    st1 = classify(p.U1, cfg)
-    v, w = st1.directions  # small-|eigenvalue| direction first
+def canon_AA(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
+    v, w = t1.directions  # small-|eigenvalue| direction first
     S = _sl2_from_basis(v, w)
     C1 = conjugate(p.U1, S)
     C2 = conjugate(p.U2, S)
@@ -207,10 +210,9 @@ def canon_AA(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
     )
 
 
-def canon_scalar_partner(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
+def canon_scalar_partner(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+                         cfg: ToleranceConfig) -> CanonicalPair:
     """Combos AB, BA, BB: the scalar side is conjugation-invariant."""
-    t1 = classify(p.U1, cfg)
-    t2 = classify(p.U2, cfg)
     if t1.tag == "B" and t2.tag == "B":
         return CanonicalPair(
             "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
@@ -243,17 +245,16 @@ def _parabolic_basis(U: SL2Matrix, eps):
     n1 = math.hypot(na, nc)
     n2 = math.hypot(nb, nd)
     if n2 >= n1:
-        w = (0.0, 1.0)
+        w = (0, 1)
         v1 = (nb, nd)
     else:
-        w = (1.0, 0.0)
+        w = (1, 0)
         v1 = (na, nc)
     return v1, w
 
 
-def canon_BC_CB(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
-    t1 = classify(p.U1, cfg)
-    t2 = classify(p.U2, cfg)
+def canon_BC_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+                cfg: ToleranceConfig) -> CanonicalPair:
     bc = t1.tag == "B"  # else CB
     Uc = p.U2 if bc else p.U1
     eps_c = (t2 if bc else t1).eps
@@ -310,9 +311,8 @@ def _rotation_angle(C: SL2Matrix) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def canon_BD_DB(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
-    t1 = classify(p.U1, cfg)
-    t2 = classify(p.U2, cfg)
+def canon_BD_DB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+                cfg: ToleranceConfig) -> CanonicalPair:
     bd = t1.tag == "B"  # else DB
     Ud = p.U2 if bd else p.U1
     S, sgn, u = _real_rotation_basis(Ud)
@@ -323,7 +323,8 @@ def canon_BD_DB(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
     return CanonicalPair("DB", {"theta": ang, "eps2": t2.eps}, S, trace)
 
 
-def canon_DD(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
+def canon_DD(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
     # joint eigenvector computed from U1 alone, validated against U2
     S, sgn, u = _real_rotation_basis(p.U1)
     i = 0 if abs(u[0]) >= abs(u[1]) else 1
@@ -345,9 +346,8 @@ def canon_DD(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
     )
 
 
-def canon_CC(p: CommutingPair, cfg: ToleranceConfig) -> CanonicalPair:
-    t1 = classify(p.U1, cfg)
-    t2 = classify(p.U2, cfg)
+def canon_CC(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
     v1, w = _parabolic_basis(p.U1, t1.eps)
     d = _det2(v1, w)
     sgn = 1 if d > 0 else -1
@@ -393,8 +393,10 @@ _DISPATCH = {
 
 
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
-    combo = coarse_combo(p, cfg)
-    result = _DISPATCH[combo](p, cfg)
+    """Sector, parameters and witness of p.  Each matrix is classified once;
+    the sector handler receives the two spectral types."""
+    t1, t2 = spectral_types(p, cfg)
+    result = _DISPATCH[t1.tag, t2.tag](p, t1, t2, cfg)
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)
@@ -421,8 +423,14 @@ def _scale(p: CommutingPair):
 def equivalent(
     p: CommutingPair, q: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    cp = canonicalize(p, cfg)
-    cq = canonicalize(q, cfg)
+    return same_class(canonicalize(p, cfg), canonicalize(q, cfg), cfg)
+
+
+def same_class(
+    cp: CanonicalPair, cq: CanonicalPair, cfg: ToleranceConfig = DEFAULT_TOL
+) -> bool:
+    """Whether two canonical forms name the same equivalence class: same
+    sector and discrete parameters, continuous ones within param_tol."""
     if cp.sector != cq.sector or cp.discrete() != cq.discrete():
         return False
     return all(

@@ -2,28 +2,35 @@
 equivalence testing, sampling, and figure emission.
 
 Exit codes: 0 ok, 2 parse/validation error, 3 domain error (e.g. a
-non-commuting pair), 4 ambiguous classification.
+non-commuting pair) or internal validation failure (error code
+INTERNAL_VALIDATION), 4 ambiguous classification.
+
+Rational mode runs the same pipeline on Fraction entries, so every test on
+the record (determinant, commutator, the sector itself) is exact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 import jsonschema
 
 from .atlas import sample_params, random_sl2
 from .canonical import (
     SECTOR_CONTINUOUS,
+    SECTOR_DISCRETE,
     SECTORS,
     apply_conjugation,
     canonicalize,
-    equivalent,
     reconstruct,
+    same_class,
 )
 from .errors import (
     ClassificationAmbiguous,
@@ -32,11 +39,11 @@ from .errors import (
     ForbiddenCombo,
     NotCommuting,
     ParamOutOfRange,
+    SL2TorusError,
 )
 from .figures import FIGURES, figure_rows, rows_to_csv, rows_to_svg
-from .oracle import exact_classify
-from .pairs import allowed_combination, make_pair
-from .sl2 import ToleranceConfig, make_sl2
+from .pairs import make_pair, spectral_types
+from .sl2 import ToleranceConfig, is_exact, make_sl2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,10 +87,18 @@ def _check_denominator(e, where):
 
 
 def _entry_float(e, where):
-    if isinstance(e, list):
-        _check_denominator(e, where)
-        return e[0] / e[1]
-    return float(e)
+    try:
+        if isinstance(e, list):
+            _check_denominator(e, where)
+            x = e[0] / e[1]
+        else:
+            x = float(e)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    # json.load accepts NaN and Infinity, and the schema lets them through
+    if not math.isfinite(x):
+        raise ParseFailure(f"{where}: non-finite entry {e!r}")
+    return x
 
 
 def _entry_fraction(e, where):
@@ -96,14 +111,13 @@ def _entry_fraction(e, where):
                        f"[num, den] entries, got {e!r}")
 
 
-def _matrix_floats(m, where):
-    return (_entry_float(m[0][0], where), _entry_float(m[0][1], where),
-            _entry_float(m[1][0], where), _entry_float(m[1][1], where))
-
-
-def _matrix_fractions(m, where):
-    return tuple(_entry_fraction(m[i][j], where)
-                 for i in range(2) for j in range(2))
+def _pair(side, rec_id, mode, cfg):
+    """The validated pair of a record or comparison side.  In rational mode
+    the entries are Fractions, so every test on the pair is exact."""
+    entry = _entry_fraction if mode == "rational" else _entry_float
+    U1, U2 = ([entry(x, rec_id) for row in side[k] for x in row]
+              for k in ("U1", "U2"))
+    return make_pair(make_sl2(*U1, cfg), make_sl2(*U2, cfg), cfg)
 
 
 def _record_mode(rec, args):
@@ -132,6 +146,8 @@ def _type_json(st):
     return out
 
 
+# looked up by isinstance in this order, most specific class first; a bare
+# SL2TorusError is an internal validation failure
 _ERROR_CODES = {
     NotCommuting: ("NOT_COMMUTING", EXIT_DOMAIN),
     ForbiddenCombo: ("FORBIDDEN_COMBO", EXIT_DOMAIN),
@@ -139,38 +155,19 @@ _ERROR_CODES = {
     DegenerateCC: ("DEGENERATE_CC", EXIT_DOMAIN),
     ParamOutOfRange: ("PARAM_OUT_OF_RANGE", EXIT_DOMAIN),
     ClassificationAmbiguous: ("AMBIGUOUS", EXIT_AMBIGUOUS),
+    SL2TorusError: ("INTERNAL_VALIDATION", EXIT_DOMAIN),
 }
 
 
 def _error_json(rec_id, exc):
-    code, status = _ERROR_CODES[type(exc)]
+    code, status = next(v for cls, v in _ERROR_CODES.items()
+                        if isinstance(exc, cls))
     return {"id": rec_id, "error": code, "detail": str(exc)}, status
 
 
 def _classify_record(rec, args, cfg):
-    mode = _record_mode(rec, args)
-    if mode == "rational":
-        f1 = _matrix_fractions(rec["U1"], rec["id"])
-        f2 = _matrix_fractions(rec["U2"], rec["id"])
-        t1 = exact_classify(*f1)
-        t2 = exact_classify(*f2)
-        U1 = make_sl2(*(float(x) for x in f1), cfg)
-        U2 = make_sl2(*(float(x) for x in f2), cfg)
-        comm = _exact_commutes(f1, f2)
-        if not comm:
-            raise NotCommuting("nonzero exact commutator")
-        if not allowed_combination(t1.tag, t2.tag):
-            raise ForbiddenCombo((t1.tag, t2.tag))
-    else:
-        U1 = make_sl2(*_matrix_floats(rec["U1"], rec["id"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec["U2"], rec["id"]), cfg)
-        p = make_pair(U1, U2, cfg)
-        from .pairs import coarse_combo
-        from .sl2 import classify
-
-        t1 = classify(U1, cfg)
-        t2 = classify(U2, cfg)
-        coarse_combo(p, cfg)
+    p = _pair(rec, rec["id"], _record_mode(rec, args), cfg)
+    t1, t2 = spectral_types(p, cfg)
     return {
         "id": rec["id"],
         "type1": _type_json(t1),
@@ -179,101 +176,51 @@ def _classify_record(rec, args, cfg):
     }
 
 
-def _exact_commutes(f1, f2):
-    a, b, c, d = f1
-    e, f, g, h = f2
-    return (
-        a * e + b * g == e * a + f * c
-        and a * f + b * h == e * b + f * d
-        and c * e + d * g == g * a + h * c
-        and c * f + d * h == g * b + h * d
-    )
-
-
-def _exact_cc_data(f1, f2, t1, t2):
-    """Exact coupling scalar and basis-determinant sign for a rational CC
-    pair; the canonical angle itself is generally irrational."""
-    a, b, c, d = f1
-    e1 = t1.eps
-    na, nb, nc, nd = a - e1, b, c, d - e1
-    if nb != 0 or nd != 0:
-        w = (Fraction(0), Fraction(1))
-        v1 = (nb, nd)
-    else:
-        w = (Fraction(1), Fraction(0))
-        v1 = (na, nc)
-    e, f, g, h = f2
-    e2 = t2.eps
-    rw = (e * w[0] + f * w[1] - e2 * w[0], g * w[0] + h * w[1] - e2 * w[1])
-    i = 0 if v1[0] != 0 else 1
-    cc = rw[i] / v1[i]
-    det = v1[0] * w[1] - v1[1] * w[0]
-    return cc, (1 if det > 0 else -1)
-
-
 def _canon_record(rec, args, cfg):
-    mode = _record_mode(rec, args)
-    exact = {}
-    if mode == "rational":
-        f1 = _matrix_fractions(rec["U1"], rec["id"])
-        f2 = _matrix_fractions(rec["U2"], rec["id"])
-        t1 = exact_classify(*f1)
-        t2 = exact_classify(*f2)
-        if not _exact_commutes(f1, f2):
-            raise NotCommuting("nonzero exact commutator")
-        if not allowed_combination(t1.tag, t2.tag):
-            raise ForbiddenCombo((t1.tag, t2.tag))
-        U1 = make_sl2(*(float(x) for x in f1), cfg)
-        U2 = make_sl2(*(float(x) for x in f2), cfg)
-        if (t1.tag, t2.tag) == ("C", "C"):
-            cc, sgn = _exact_cc_data(f1, f2, t1, t2)
-            exact["c"] = [cc.numerator, cc.denominator]
-            exact["det_sprime_sign"] = sgn
-        if t1.tag == "D":
-            tr = f1[0] + f1[3]
-            exact["cos_theta"] = [tr.numerator, 2 * tr.denominator]
-        if t2.tag == "D":
-            tr = f2[0] + f2[3]
-            exact["cos_phi"] = [tr.numerator, 2 * tr.denominator]
-    else:
-        U1 = make_sl2(*_matrix_floats(rec["U1"], rec["id"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec["U2"], rec["id"]), cfg)
-    p = make_pair(U1, U2, cfg)
+    p = _pair(rec, rec["id"], _record_mode(rec, args), cfg)
     result = canonicalize(p, cfg)
+    c = result.trace.c
     out = {
         "id": rec["id"],
         "sector": result.sector,
         "params": dict(sorted(result.params.items())),
         "witness": result.witness.entries(),
         "trace": {
-            "c": result.trace.c,
+            "c": None if c is None else float(c),
             "det_sprime_sign": result.trace.det_sprime_sign,
             "branch_notes": list(result.trace.branch_notes),
         },
     }
-    if exact:
-        out["exact"] = exact
+    if is_exact(p.U1):
+        # exact defining data of the irrational canonical angles
+        exact = {}
+        if result.sector == "CC":
+            exact["c"] = [c.numerator, c.denominator]
+            exact["det_sprime_sign"] = result.trace.det_sprime_sign
+        for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
+            tr = U.trace()
+            if abs(tr) < 2:  # elliptic
+                exact[key] = [tr.numerator, 2 * tr.denominator]
+        if exact:
+            out["exact"] = exact
     return out
 
 
+def _canon_json(cp):
+    return {"sector": cp.sector, "params": dict(sorted(cp.params.items()))}
+
+
 def _equiv_record(rec, args, cfg):
-    sides = {}
-    for side in ("left", "right"):
-        U1 = make_sl2(*_matrix_floats(rec[side]["U1"], rec["id"]), cfg)
-        U2 = make_sl2(*_matrix_floats(rec[side]["U2"], rec["id"]), cfg)
-        sides[side] = make_pair(U1, U2, cfg)
-    cl = canonicalize(sides["left"], cfg)
-    cr = canonicalize(sides["right"], cfg)
-    verdict = (
-        "EQUIVALENT"
-        if equivalent(sides["left"], sides["right"], cfg)
-        else "DISTINCT"
-    )
+    mode = _record_mode(rec, args)
+    # both sides are validated before either is canonicalized
+    left, right = (_pair(rec[side], rec["id"], mode, cfg)
+                   for side in ("left", "right"))
+    cl, cr = canonicalize(left, cfg), canonicalize(right, cfg)
     return {
         "id": rec["id"],
-        "verdict": verdict,
-        "left": {"sector": cl.sector, "params": dict(sorted(cl.params.items()))},
-        "right": {"sector": cr.sector, "params": dict(sorted(cr.params.items()))},
+        "verdict": "EQUIVALENT" if same_class(cl, cr, cfg) else "DISTINCT",
+        "left": _canon_json(cl),
+        "right": _canon_json(cr),
     }
 
 
@@ -295,7 +242,7 @@ def _run_batch(args, schema, key, handler):
     for rec in doc[key]:
         try:
             lines.append(handler(rec, args, cfg))
-        except tuple(_ERROR_CODES) as exc:
+        except SL2TorusError as exc:
             obj, st = _error_json(rec["id"], exc)
             lines.append(obj)
             saw_domain |= st == EXIT_DOMAIN
@@ -331,10 +278,6 @@ def cmd_sample(args):
     records = []
     finite = not SECTOR_CONTINUOUS[args.sector]
     if finite:
-        from itertools import product
-
-        from .canonical import SECTOR_DISCRETE
-
         keys = SECTOR_DISCRETE[args.sector]
         combos = list(product((1, -1), repeat=len(keys)))
         choices = [dict(zip(keys, combo)) for combo in combos]

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DeterminantError
 from .pairs import CommutingPair
-from .sl2 import IDENTITY, SL2Matrix, SpectralType
+from .sl2 import IDENTITY, SL2Matrix, SpectralType, classify, make_sl2
 
 CONVERGENCE_THRESHOLD = 1e-8
 DISTINCT_FLOOR = 1e-3  # empirical separation, not a mathematical claim
@@ -107,7 +106,8 @@ def search_conjugator(
     ``iterations`` is the number of solves (1).  ``budget``, ``starts`` and
     ``seed`` are accepted for compatibility and do not change the result.
     """
-    M = np.array(_sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2))
+    M = np.array(_sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2),
+                 dtype=float)
     _, sv, vt = np.linalg.svd(M)
     null = vt[sv <= RANK_TOL * max(1.0, sv[0])]
     s = vt[-1]
@@ -136,40 +136,11 @@ def search_conjugator(
 
 def exact_classify(a, b, c, d) -> SpectralType:
     """Classification with exact rational arithmetic; the only decidable way
-    to separate the scalar and parabolic cases on the |tr| = 2 boundary."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    det = a * d - b * c
-    if det != 1:
-        raise DeterminantError(det)
-    t = a + d
-    disc = t * t - 4
-    if disc > 0:
-        ft = float(t)
-        root = math.sqrt(float(disc))
-        sgn = 1.0 if ft > 0 else -1.0
-        lam = (ft - sgn * root) / 2.0
-        U = SL2Matrix(float(a), float(b), float(c), float(d))
-        from .sl2 import _real_eigendirection  # float eigendirections
+    to separate the scalar and parabolic cases on the |tr| = 2 boundary.
 
-        return SpectralType(
-            "A",
-            lam=lam,
-            directions=(
-                _real_eigendirection(U, lam),
-                _real_eigendirection(U, (ft + sgn * root) / 2.0),
-            ),
-        )
-    if disc < 0:
-        theta = math.acos(float(t) / 2.0)
-        if c - b < 0:
-            theta = 2.0 * math.pi - theta
-        return SpectralType("D", theta=theta)
-    eps = 1 if t == 2 else -1
-    if a == eps and d == eps and b == 0 and c == 0:
-        return SpectralType("B", eps=eps)
-    from .sl2 import _parabolic_direction
-
-    U = SL2Matrix(float(a), float(b), float(c), float(d))
-    return SpectralType(
-        "C", eps=eps, directions=(_parabolic_direction(U, eps),)
-    )
+    The entries are converted to Fractions, so ``make_sl2`` keeps them and
+    requires a determinant of exactly 1, and ``classify`` applies no
+    tolerance.  A pair of such matrices stays exact through
+    ``canonicalize``, whose CC coupling ``CanonTrace.c`` is then a Fraction.
+    """
+    return classify(make_sl2(*(Fraction(x) for x in (a, b, c, d))))

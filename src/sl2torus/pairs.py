@@ -5,7 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ForbiddenCombo, NotCommuting
-from .sl2 import DEFAULT_TOL, SL2Matrix, ToleranceConfig, classify, commutator_norm
+from .sl2 import (
+    DEFAULT_TOL,
+    SL2Matrix,
+    SpectralType,
+    ToleranceConfig,
+    classify,
+    commutator_norm,
+    is_exact,
+)
 
 # Coarse combinations that can occur for commuting pairs: matching non-B
 # types, or anything paired with a scalar.
@@ -25,8 +33,9 @@ class CommutingPair:
 def make_pair(
     U1: SL2Matrix, U2: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> CommutingPair:
+    """Validating constructor; two exact matrices must commute exactly."""
     norm = commutator_norm(U1, U2)
-    if norm > cfg.comm_tol:
+    if norm > (0 if is_exact(U1) and is_exact(U2) else cfg.comm_tol):
         raise NotCommuting(norm)
     return CommutingPair(U1, U2)
 
@@ -35,9 +44,17 @@ def allowed_combination(t1: str, t2: str) -> bool:
     return (t1, t2) in ALLOWED_COMBOS
 
 
-def coarse_combo(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL):
-    combo = (classify(p.U1, cfg).tag, classify(p.U2, cfg).tag)
-    if not allowed_combination(*combo):
+def spectral_types(
+    p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL
+) -> tuple[SpectralType, SpectralType]:
+    """The spectral type of each matrix of the pair, each classified once."""
+    t1, t2 = classify(p.U1, cfg), classify(p.U2, cfg)
+    if not allowed_combination(t1.tag, t2.tag):
         # cannot happen for exactly commuting pairs; fail loudly
-        raise ForbiddenCombo(combo)
-    return combo
+        raise ForbiddenCombo((t1.tag, t2.tag))
+    return t1, t2
+
+
+def coarse_combo(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL):
+    t1, t2 = spectral_types(p, cfg)
+    return t1.tag, t2.tag

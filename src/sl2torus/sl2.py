@@ -5,12 +5,16 @@ A matrix is hyperbolic (two real eigenvalues lambda, 1/lambda), scalar
 (plus or minus the identity), parabolic non-scalar (single eigendirection
 with eigenvalue +-1), or elliptic (no real eigenvalues, rotation-like).
 These are the tags A, B, C, D.
+
+Exactness is a property of the matrix: one whose four entries are all
+``Fraction``s is exact, and every tolerance applied to it is zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     ClassificationAmbiguous,
@@ -41,7 +45,8 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass(frozen=True)
 class SL2Matrix:
-    """Row-major 2x2 real matrix; construction via make_sl2 enforces det = 1."""
+    """Row-major 2x2 real matrix; construction via make_sl2 enforces det = 1.
+    The entries are floats, or all Fractions for an exact matrix."""
 
     a: float
     b: float
@@ -96,12 +101,28 @@ def commutator_norm(U1: SL2Matrix, U2: SL2Matrix) -> float:
     return (U1 @ U2).max_abs_diff(U2 @ U1)
 
 
+def _all_fractions(a, b, c, d) -> bool:
+    return (isinstance(a, Fraction) and isinstance(b, Fraction)
+            and isinstance(c, Fraction) and isinstance(d, Fraction))
+
+
+def is_exact(U: SL2Matrix) -> bool:
+    """True when all four entries are Fractions, so tests on U are exact."""
+    return _all_fractions(U.a, U.b, U.c, U.d)
+
+
 def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
-    """Validating constructor; rejects (never renormalizes) non-unit det."""
+    """Validating constructor; rejects (never renormalizes) non-unit det.
+
+    Four Fraction entries are kept and their determinant must be exactly 1;
+    any other input is converted to floats."""
+    exact = _all_fractions(a, b, c, d)
     det = a * d - b * c
     # written so that a NaN determinant fails too
-    if not abs(det - 1.0) <= cfg.det_tol:
+    if not abs(det - 1) <= (0 if exact else cfg.det_tol):
         raise DeterminantError(det)
+    if exact:
+        return SL2Matrix(a, b, c, d)
     return SL2Matrix(float(a), float(b), float(c), float(d))
 
 
@@ -146,21 +167,26 @@ class SpectralType:
 
 
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
+    """Spectral type of U.  On an exact matrix the tolerance is 0, so the
+    |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
+    Integer constants keep Fraction arithmetic exact up to the square root
+    of the discriminant and the final float results."""
+    tol = 0 if is_exact(U) else cfg.class_tol
     t = U.trace()
-    if abs(t) > 2.0 + cfg.class_tol:
-        disc = math.sqrt(t * t - 4.0)
+    if abs(t) > 2 + tol:
+        disc = math.sqrt(t * t - 4)
         sgn = 1.0 if t > 0 else -1.0
         lam = (t - sgn * disc) / 2.0       # the member with |lam| < 1
         lam_inv = (t + sgn * disc) / 2.0
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
         return SpectralType("A", lam=lam, directions=(v_small, v_big))
-    if abs(abs(t) - 2.0) <= cfg.class_tol:
+    if abs(abs(t) - 2) <= tol:
         eps = 1 if t > 0 else -1
         dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
-        if dev <= cfg.class_tol:
+        if dev <= tol:
             return SpectralType("B", eps=eps)
-        if dev < AMBIG_FACTOR * cfg.class_tol:
+        if dev < AMBIG_FACTOR * tol:
             raise ClassificationAmbiguous(
                 f"scalar deviation {dev:.3e} in the unresolved band"
             )
@@ -176,10 +202,11 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
 
 def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     """Coarse partition by trace alone: hyperbolic / parabolic / elliptic."""
+    tol = 0 if is_exact(U) else cfg.class_tol
     t = abs(U.trace())
-    if t > 2.0 + cfg.class_tol:
+    if t > 2 + tol:
         return "hyperbolic"
-    if t >= 2.0 - cfg.class_tol:
+    if t >= 2 - tol:
         return "parabolic"
     return "elliptic"
 

@@ -46,7 +46,7 @@ def test_criterion_1_round_trip_uniqueness(capsys):
     start = time.perf_counter()
     for sector in SECTORS:
         for i in range(1000):
-            rng = random.Random(hash((sector, i)) & 0xFFFFFFFF)
+            rng = random.Random(f"{sector}:{i}")
             params = sample_params(sector, rng)
             p = apply_conjugation(reconstruct(sector, params),
                                   random_sl2(rng))
@@ -80,7 +80,7 @@ def test_criterion_2_allowed_combinations(capsys):
     violations = 0
     for sector in SECTORS:
         for i in range(1000):
-            rng = random.Random(10_000 + hash((sector, i)) & 0xFFFFFFFF)
+            rng = random.Random(f"combo:{sector}:{i}")
             p = apply_conjugation(
                 reconstruct(sector, sample_params(sector, rng)),
                 random_sl2(rng))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -371,3 +372,83 @@ def test_degenerate_cc_raises():
     U2 = make_sl2(1, 1e-8, 0, 1)
     with pytest.raises(DegenerateCC):
         canonicalize(pair(U1, U2), CFG)
+
+
+# --- exact input ----------------------------------------------------------
+
+
+def _rational_canonical(sector, draw):
+    """Rational matrices (4-tuples) of a pair in the given sector."""
+    unit = st.fractions(Fraction(-19, 20), Fraction(19, 20),
+                        max_denominator=20)
+    unit = unit.filter(lambda x: abs(x) >= Fraction(1, 20))
+    sign = st.sampled_from((1, -1))
+    coupling = st.fractions(Fraction(1, 5), Fraction(5), max_denominator=5)
+
+    def diag(x):
+        return (x, Fraction(0), Fraction(0), 1 / x)
+
+    def scalar(e):
+        return (Fraction(e), Fraction(0), Fraction(0), Fraction(e))
+
+    def jordan():
+        e, k = Fraction(draw(sign)), draw(sign) * draw(coupling)
+        return (e, k, Fraction(0), e)
+
+    def rot():
+        # (m^2 - n^2, 2mn) / (m^2 + n^2): a rational rotation, angle not 0, pi
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        h = m * m + n * n
+        co = Fraction(draw(sign) * (m * m - n * n), h)
+        si = Fraction(draw(sign) * 2 * m * n, h)
+        return (co, -si, si, co)
+
+    if sector in ("AA1", "AA2"):
+        lam, mu = draw(unit), draw(unit)
+        return diag(lam), diag(mu if sector == "AA1" else 1 / mu)
+    if sector == "AB":
+        return diag(draw(unit)), scalar(draw(sign))
+    if sector == "BA":
+        return scalar(draw(sign)), diag(draw(unit))
+    if sector == "BB":
+        return scalar(draw(sign)), scalar(draw(sign))
+    if sector == "BC":
+        return scalar(draw(sign)), jordan()
+    if sector == "CB":
+        return jordan(), scalar(draw(sign))
+    if sector == "BD":
+        return scalar(draw(sign)), rot()
+    if sector == "DB":
+        return rot(), scalar(draw(sign))
+    if sector == "CC":
+        return jordan(), jordan()
+    return rot(), rot()
+
+
+def _mul(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+@given(sector_st, st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_and_float_input_agree(sector, data):
+    m1, m2 = _rational_canonical(sector, data.draw)
+    small = st.fractions(-2, 2, max_denominator=3)
+    scale = data.draw(st.fractions(Fraction(1, 2), 2, max_denominator=2))
+    p, q = data.draw(small), data.draw(small)
+    # shear * diagonal * shear: a rational conjugator of determinant 1
+    S = _mul(_mul((Fraction(1), p, Fraction(0), Fraction(1)),
+                  (scale, Fraction(0), Fraction(0), 1 / scale)),
+             (Fraction(1), Fraction(0), q, Fraction(1)))
+    Si = (S[3], -S[1], -S[2], S[0])
+    u1, u2 = _mul(_mul(Si, m1), S), _mul(_mul(Si, m2), S)
+    exact = canonicalize(make_pair(make_sl2(*u1), make_sl2(*u2)))
+    approx = canonicalize(make_pair(make_sl2(*map(float, u1)),
+                                    make_sl2(*map(float, u2))))
+    assert exact.sector == approx.sector == sector
+    assert exact.discrete() == approx.discrete()
+    for x, y in zip(exact.continuous(), approx.continuous()):
+        assert abs(x - y) <= 1e-9
+    if sector == "CC":
+        assert isinstance(exact.trace.c, Fraction)

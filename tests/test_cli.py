@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sl2torus import SL2Matrix, conjugate, reconstruct, rotation
 from sl2torus.cli import (
     EXIT_AMBIGUOUS,
     EXIT_DOMAIN,
@@ -123,6 +124,45 @@ def test_parse_error_zero_denominator(tmp_path, capsys, mode):
     assert "p0" in err and "zero denominator" in err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_parse_error_non_finite(tmp_path, capsys, bad):
+    inp = write_doc(tmp_path, pair_doc(([[bad, 0], [0, 1]], IDENT)))
+    assert main(["canon", inp]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "p0" in err and "non-finite" in err
+
+
+def test_internal_validation_error_code(tmp_path):
+    # the commutator (8.4e-10) passes comm_tol, but no witness reproduces
+    # the canonical DD form within tolerance
+    U1 = rotation(1e-4)
+    U2 = conjugate(rotation(1.0), SL2Matrix(1.0, 5e-6, 0.0, 1.0))
+    inp = write_doc(tmp_path,
+                    pair_doc((U1.entries(), U2.entries()), (DIAG, DIAG2)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out)]) == EXIT_DOMAIN
+    bad, good = read_lines(out)
+    assert bad["error"] == "INTERNAL_VALIDATION"
+    assert "validation failed" in bad["detail"]
+    assert good["sector"] == "AA1"
+
+
+# The exact CC pair with off-diagonals 1e-12 and 2e-12: float arithmetic
+# sees two scalars, the exact tests see coupling c = 2.
+TINY_CC = ([[1, [1, 10**12]], [0, 1]], [[1, [2, 10**12]], [0, 1]])
+
+
+def test_classify_rational_tiny_cc(tmp_path):
+    inp = write_doc(tmp_path, pair_doc(TINY_CC))
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    rec = read_lines(out)[0]
+    assert rec["combo"] == ["C", "C"]
+    assert rec["type1"] == rec["type2"] == {"tag": "C", "eps": 1}
+
+
 # --- canon ----------------------------------------------------------------
 
 
@@ -148,6 +188,23 @@ def test_canon_rational_cc_exact_payload(tmp_path):
     assert rec["exact"]["c"] == [2, 1]
     assert rec["exact"]["det_sprime_sign"] == 1
     assert rec["params"]["alpha"] == pytest.approx(math.atan(2))
+
+
+def test_canon_rational_tiny_cc(tmp_path):
+    inp = write_doc(tmp_path, pair_doc(TINY_CC))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    rec = read_lines(out)[0]
+    assert rec["sector"] == "CC"
+    assert rec["exact"] == {"c": [2, 1], "det_sprime_sign": 1}
+    assert rec["trace"]["c"] == 2.0
+    assert rec["params"]["alpha"] == pytest.approx(math.atan(2), abs=1e-12)
+    W = SL2Matrix(*rec["witness"][0], *rec["witness"][1])
+    target = reconstruct("CC", rec["params"])
+    for U, T in ((SL2Matrix(1.0, 1e-12, 0.0, 1.0), target.U1),
+                 (SL2Matrix(1.0, 2e-12, 0.0, 1.0), target.U2)):
+        assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
 def test_canon_forbidden_combo(tmp_path):
@@ -208,6 +265,20 @@ def test_equiv_distinct(tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(["equiv", inp, "--out", str(out)]) == EXIT_OK
     assert read_lines(out)[0]["verdict"] == "DISTINCT"
+
+
+def test_equiv_rational_tiny_cc(tmp_path):
+    doc = equiv_doc(TINY_CC + (JORDAN, [[1, 2], [0, 1]]))
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "out.jsonl"
+    assert main(["equiv", inp, "--out", str(out)]) == EXIT_OK
+    assert read_lines(out)[0]["verdict"] == "DISTINCT"  # float: BB vs CC
+    doc["comparisons"][0]["mode"] = "rational"
+    inp = write_doc(tmp_path, doc)
+    assert main(["equiv", inp, "--out", str(out)]) == EXIT_OK
+    rec = read_lines(out)[0]
+    assert rec["verdict"] == "EQUIVALENT"
+    assert rec["left"]["sector"] == rec["right"]["sector"] == "CC"
 
 
 def test_equiv_domain_error(tmp_path):

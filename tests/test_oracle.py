@@ -159,6 +159,17 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_search_accepts_exact_pairs():
+    F = Fraction
+    J = make_sl2(F(1), F(1), F(0), F(1))
+    K = make_sl2(F(1), F(3, 2), F(0), F(1))
+    S = make_sl2(F(2), F(1), F(3), F(2))
+    p = make_pair(J, K)
+    q = make_pair(S.inv() @ J @ S, S.inv() @ K @ S)
+    assert search_conjugator(p, q).converged
+    assert not search_conjugator(p, make_pair(J, K.inv())).converged
+
+
 # --- exact classification -------------------------------------------------
 
 

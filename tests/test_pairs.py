@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +38,15 @@ def test_make_pair_rejects_noncommuting():
     with pytest.raises(NotCommuting) as exc:
         make_pair(U1, U2)
     assert exc.value.norm == pytest.approx(norm)
+
+
+def test_make_pair_exact_requires_zero_commutator():
+    one, zero, e = Fraction(1), Fraction(0), Fraction(1, 10**30)
+    J = make_sl2(one, one, zero, one)
+    K = make_sl2(one, zero, e, one)  # commutator norm 1e-30
+    make_pair(make_sl2(1, 1, 0, 1), make_sl2(1, 0, float(e), 1))
+    with pytest.raises(NotCommuting):
+        make_pair(J, K)
 
 
 def test_coarse_combo_aa():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,29 @@ def test_make_sl2_no_renormalization():
 def test_make_sl2_rejects_non_finite(bad):
     with pytest.raises(DeterminantError):
         make_sl2(bad, 0, 0, 1)
+
+
+def test_make_sl2_exact_keeps_fractions_and_tests_det_exactly():
+    tiny = Fraction(1, 10**30)
+    U = make_sl2(Fraction(1), tiny, Fraction(0), Fraction(1))
+    assert U.b == tiny and isinstance(U.b, Fraction)
+    # a determinant off by 1e-30 passes the float test but not the exact one
+    make_sl2(1.0, 0.0, 0.0, 1.0 + float(tiny))
+    with pytest.raises(DeterminantError):
+        make_sl2(Fraction(1) + tiny, Fraction(0), Fraction(0), Fraction(1))
+
+
+def test_classify_exact_has_no_band():
+    # the float band calls this ambiguous; the exact test sees a parabolic
+    near = Fraction(5, 10**9)
+    with pytest.raises(ClassificationAmbiguous):
+        classify(make_sl2(1.0, float(near), 0.0, 1.0), CFG)
+    st_ = classify(make_sl2(Fraction(1), near, Fraction(0), Fraction(1)), CFG)
+    assert (st_.tag, st_.eps) == ("C", 1)
+    # |tr| = 2 - 1e-30 is elliptic, not on the boundary
+    e = Fraction(1, 10**30)
+    U = make_sl2(1 - e, Fraction(1), -e * (2 - e), 1 - e)
+    assert classify(U).tag == "D"
 
 
 def test_classify_hyperbolic_diag():
