@@ -23,6 +23,7 @@ from .sl2 import (
     eigen_data,
     make_sl2,
     rotation,
+    sl2_from_coords,
     trace_class,
 )
 from .pairs import CommutingPair, allowed_combination, coarse_combo, make_pair
@@ -39,7 +40,6 @@ from .oracle import (
     ConjugatorSearchReport,
     exact_classify,
     search_conjugator,
-    sl2_from_coords,
 )
 from .atlas import (
     SEPARATED,

@@ -1,5 +1,5 @@
-"""The moduli space as a parametrized object: sector parameter domains,
-the separated-topology metric, the cell-complex incidence structure of the
+"""The moduli space as a parametrized object: sector parameter domains
+(from the table in `canonical`), the separated-topology metric, the cell-complex incidence structure of the
 3D depiction, embedding coordinates, and sector sampling.
 
 Two topologies coexist and are never mixed: `sector_distance` implements
@@ -16,39 +16,25 @@ from dataclasses import dataclass
 
 from . import constants as K
 from .canonical import (
+    AXIS_COMPONENTS,
     SECTOR_CONTINUOUS,
     SECTOR_DISCRETE,
     SECTORS,
+    SIGNS,
     CanonicalPair,
     apply_conjugation,
+    check_params,
+    component_index,
     reconstruct,
 )
 from .errors import ParamOutOfRange
 from .pairs import CommutingPair
-from .sl2 import SL2Matrix
+from .sl2 import SL2Matrix, sl2_from_coords
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 SEPARATED = math.inf
-
-# open components of the continuous axes
-UNIT_COMPONENTS = ((-1.0, 0.0), (0.0, 1.0))
-ANGLE_COMPONENTS = ((0.0, PI), (PI, TWO_PI))
-ALPHA_COMPONENTS = (
-    (0.0, PI / 2), (PI / 2, PI), (PI, 3 * PI / 2), (3 * PI / 2, TWO_PI)
-)
-
-_AXIS_KIND = {
-    "lam": "unit", "mu": "unit",
-    "theta": "angle", "phi": "angle",
-    "alpha": "alpha",
-}
-_AXIS_COMPONENTS = {
-    "unit": UNIT_COMPONENTS,
-    "angle": ANGLE_COMPONENTS,
-    "alpha": ALPHA_COMPONENTS,
-}
 
 
 @dataclass(frozen=True)
@@ -63,32 +49,29 @@ def parameter_domain(sector: str) -> SectorDomain:
     if sector not in SECTORS:
         raise ParamOutOfRange(f"unknown sector {sector!r}")
     cont = tuple(
-        (name, _AXIS_COMPONENTS[_AXIS_KIND[name]])
-        for name in SECTOR_CONTINUOUS[sector]
+        (name, AXIS_COMPONENTS[name]) for name in SECTOR_CONTINUOUS[sector]
     )
-    disc = tuple((name, (1, -1)) for name in SECTOR_DISCRETE[sector])
+    disc = tuple((name, SIGNS) for name in SECTOR_DISCRETE[sector])
     return SectorDomain(sector, cont, disc, dimension=len(cont))
 
 
-def _component_index(name: str, value: float) -> int:
-    for i, (lo, hi) in enumerate(_AXIS_COMPONENTS[_AXIS_KIND[name]]):
-        if lo < value < hi:
-            return i
-    raise ParamOutOfRange(f"{name} = {value!r} on an excluded boundary")
+def _is_angle(name: str) -> bool:
+    # the components of an angle are arcs of the circle, ending at 2pi
+    return AXIS_COMPONENTS[name][-1][1] == TWO_PI
 
 
 def component_key(c: CanonicalPair):
     """Separation key: sector, discrete parameters, and the interval
     component of every continuous parameter."""
     comps = tuple(
-        _component_index(name, c.params[name])
+        component_index(name, c.params[name])
         for name in SECTOR_CONTINUOUS[c.sector]
     )
     return (c.sector, c.discrete(), comps)
 
 
 def _axis_distance(name: str, x: float, y: float) -> float:
-    if _AXIS_KIND[name] == "unit":
+    if not _is_angle(name):
         return abs(x - y)
     # chordal distance; no wraparound is possible within one open component
     return 2.0 * abs(math.sin((x - y) / 2.0))
@@ -110,7 +93,6 @@ def sector_distance(c1: CanonicalPair, c2: CanonicalPair) -> float:
 # depiction topology: components, incidence, embedding
 # ---------------------------------------------------------------------------
 
-_SIGNS = (1, -1)
 _SIGN_CHAR = {1: "+", -1: "-"}
 
 
@@ -126,25 +108,25 @@ def bb_label(e1, e2):
 def component_labels():
     """All depiction components, keyed by sector."""
     out = {s: [] for s in SECTORS}
-    for e1 in _SIGNS:
-        for e2 in _SIGNS:
+    for e1 in SIGNS:
+        for e2 in SIGNS:
             out["BB"].append(bb_label(e1, e2))
             out["CC"].extend(
                 _lbl("CC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], f"arc{k}")
                 for k in range(4)
             )
-            for e in _SIGNS:
+            for e in SIGNS:
                 out["BC"].append(
                     _lbl("BC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e])
                 )
                 out["CB"].append(
                     _lbl("CB", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e])
                 )
-    for s1 in _SIGNS:
-        for s2 in _SIGNS:
+    for s1 in SIGNS:
+        for s2 in SIGNS:
             out["AA1"].append(_lbl("AA1", _SIGN_CHAR[s1], _SIGN_CHAR[s2]))
             out["AA2"].append(_lbl("AA2", _SIGN_CHAR[s1], _SIGN_CHAR[s2]))
-    for e in _SIGNS:
+    for e in SIGNS:
         for comp in range(2):
             out["AB"].append(_lbl("AB", _SIGN_CHAR[e], f"lam{comp}"))
             out["BA"].append(_lbl("BA", _SIGN_CHAR[e], f"mu{comp}"))
@@ -179,8 +161,8 @@ def incidence() -> CellIncidence:
     ent = []
     # A/B subspace: AA sheets -> AB/BA edges -> BB vertices
     for kind in ("AA1", "AA2"):
-        for s1 in _SIGNS:
-            for s2 in _SIGNS:
+        for s1 in SIGNS:
+            for s2 in SIGNS:
                 cell = _lbl(kind, _SIGN_CHAR[s1], _SIGN_CHAR[s2])
                 lam_comp = 0 if s1 < 0 else 1
                 mu_comp = 0 if s2 < 0 else 1
@@ -191,7 +173,7 @@ def incidence() -> CellIncidence:
                 ent.append((cell, bb_label(s1, s2), "corner"))
                 ent.append((cell, "(open)", "lam -> 0 edge unattached"))
                 ent.append((cell, "(open)", "mu -> 0 edge unattached"))
-    for e in _SIGNS:
+    for e in SIGNS:
         for comp, sgn in ((0, -1), (1, 1)):
             ent.append((_lbl("AB", _SIGN_CHAR[e], f"lam{comp}"),
                         bb_label(sgn, e), f"lam -> {sgn}"))
@@ -212,7 +194,7 @@ def incidence() -> CellIncidence:
                 e2 = _angle_endpoint_sign(c2, side)
                 ent.append((cell, _lbl("DB", f"theta{c1}", _SIGN_CHAR[e2]),
                             f"phi boundary ({side})"))
-    for e in _SIGNS:
+    for e in SIGNS:
         for comp in range(2):
             for side in ("lo", "hi"):
                 other = _angle_endpoint_sign(comp, side)
@@ -227,8 +209,8 @@ def incidence() -> CellIncidence:
         2: (("CB", -1), ("BC", -1)),
         3: (("BC", -1), ("CB", 1)),
     }
-    for e1 in _SIGNS:
-        for e2 in _SIGNS:
+    for e1 in SIGNS:
+        for e2 in SIGNS:
             for k in range(4):
                 arc = _lbl("CC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], f"arc{k}")
                 for sec, s in arc_ends[k]:
@@ -249,22 +231,22 @@ def depiction_component(c: CanonicalPair) -> str:
                     _SIGN_CHAR[1 if p["mu"] > 0 else -1])
     if s == "AB":
         return _lbl("AB", _SIGN_CHAR[p["eps2"]],
-                    f"lam{_component_index('lam', p['lam'])}")
+                    f"lam{component_index('lam', p['lam'])}")
     if s == "BA":
         return _lbl("BA", _SIGN_CHAR[p["eps1"]],
-                    f"mu{_component_index('mu', p['mu'])}")
+                    f"mu{component_index('mu', p['mu'])}")
     if s == "BD":
         return _lbl("BD", _SIGN_CHAR[p["eps1"]],
-                    f"phi{_component_index('phi', p['phi'])}")
+                    f"phi{component_index('phi', p['phi'])}")
     if s == "DB":
-        return _lbl("DB", f"theta{_component_index('theta', p['theta'])}",
+        return _lbl("DB", f"theta{component_index('theta', p['theta'])}",
                     _SIGN_CHAR[p["eps2"]])
     if s == "DD":
-        return _lbl("DD", f"theta{_component_index('theta', p['theta'])}",
-                    f"phi{_component_index('phi', p['phi'])}")
+        return _lbl("DD", f"theta{component_index('theta', p['theta'])}",
+                    f"phi{component_index('phi', p['phi'])}")
     if s == "CC":
         return _lbl("CC", _SIGN_CHAR[p["eps1"]], _SIGN_CHAR[p["eps2"]],
-                    f"arc{_component_index('alpha', p['alpha'])}")
+                    f"arc{component_index('alpha', p['alpha'])}")
     if s == "BC":
         return _lbl("BC", _SIGN_CHAR[p["eps1"]], _SIGN_CHAR[p["eps2"]],
                     _SIGN_CHAR[p["eps4"]])
@@ -315,7 +297,7 @@ def _circle_point(e1: int, e2: int, alpha: float):
 
 
 def embed(c: CanonicalPair) -> EmbeddedPoint:
-    reconstruct(c.sector, c.params)  # range validation only
+    check_params(c.sector, c.params)
     p = c.params
     s = c.sector
     if s == "BB":
@@ -354,8 +336,6 @@ def embed(c: CanonicalPair) -> EmbeddedPoint:
 
 def random_sl2(rng: random.Random) -> SL2Matrix:
     """Random conjugator: rotation x diagonal scaling x unit shear."""
-    from .oracle import sl2_from_coords
-
     return sl2_from_coords(
         rng.uniform(0.0, TWO_PI),
         rng.uniform(*K.CONJ_LOG_SCALE_RANGE),
@@ -364,16 +344,15 @@ def random_sl2(rng: random.Random) -> SL2Matrix:
 
 
 def _sample_axis(name: str, rng: random.Random) -> float:
-    kind = _AXIS_KIND[name]
-    if kind == "unit":
+    if not _is_angle(name):
         lo, hi = K.LAM_SAMPLE_RANGE
-        return rng.choice(_SIGNS) * rng.uniform(lo, hi)
-    lo, hi = rng.choice(_AXIS_COMPONENTS[kind])
+        return rng.choice(SIGNS) * rng.uniform(lo, hi)
+    lo, hi = rng.choice(AXIS_COMPONENTS[name])
     return rng.uniform(lo + K.SAMPLE_MARGIN, hi - K.SAMPLE_MARGIN)
 
 
 def sample_params(sector: str, rng: random.Random) -> dict:
-    params = {k: rng.choice(_SIGNS) for k in SECTOR_DISCRETE[sector]}
+    params = {k: rng.choice(SIGNS) for k in SECTOR_DISCRETE[sector]}
     for k in SECTOR_CONTINUOUS[sector]:
         params[k] = _sample_axis(k, rng)
     return params

@@ -1,6 +1,7 @@
 """Canonical representatives of commuting pairs under simultaneous
-unit-determinant conjugation: the eleven sectors, an explicit conjugating
-witness, reconstruction from parameters, and the equivalence decision."""
+unit-determinant conjugation: the eleven sectors and the domains of their
+parameters, an explicit conjugating witness, reconstruction from
+parameters, and the equivalence decision."""
 
 from __future__ import annotations
 
@@ -51,6 +52,22 @@ SECTOR_DISCRETE = {
 
 _TWO_PI = 2.0 * math.pi
 
+SIGNS = (1, -1)  # the values of every discrete parameter
+
+# Open components of every continuous parameter, numbered in this order by
+# component_index; their endpoints are excluded.  lam and mu are real
+# eigenvalues, theta, phi and alpha angles.
+_UNIT = ((-1.0, 0.0), (0.0, 1.0))
+_ANGLE = ((0.0, math.pi), (math.pi, _TWO_PI))
+AXIS_COMPONENTS = {
+    "lam": _UNIT,
+    "mu": _UNIT,
+    "theta": _ANGLE,
+    "phi": _ANGLE,
+    "alpha": ((0.0, math.pi / 2), (math.pi / 2, math.pi),
+              (math.pi, 3 * math.pi / 2), (3 * math.pi / 2, _TWO_PI)),
+}
+
 
 @dataclass(frozen=True)
 class CanonTrace:
@@ -83,24 +100,27 @@ def apply_conjugation(p: CommutingPair, S: SL2Matrix) -> CommutingPair:
     return CommutingPair(conjugate(p.U1, S), conjugate(p.U2, S))
 
 
-def _check_unit_interval(name, x):
-    if not 0.0 < abs(x) < 1.0:
-        raise ParamOutOfRange(f"{name} = {x!r} not in 0 < |{name}| < 1")
+def component_index(name: str, value) -> int:
+    """Index of the open component of parameter ``name`` that holds value;
+    ParamOutOfRange on an excluded boundary, outside the range, or NaN."""
+    for i, (lo, hi) in enumerate(AXIS_COMPONENTS[name]):
+        if lo < value < hi:
+            return i
+    raise ParamOutOfRange(
+        f"{name} = {value!r} not in any of {AXIS_COMPONENTS[name]}"
+    )
 
 
-def _check_open_angle(name, x):
-    if not (0.0 < x < _TWO_PI) or x == math.pi:
-        raise ParamOutOfRange(f"{name} = {x!r} not in (0,pi) u (pi,2pi)")
-
-
-def _check_sign(name, s):
-    if s not in (1, -1):
-        raise ParamOutOfRange(f"{name} = {s!r} not in {{+1, -1}}")
-
-
-def _check_alpha(x):
-    if not 0.0 < x < _TWO_PI or x in (math.pi / 2, math.pi, 3 * math.pi / 2):
-        raise ParamOutOfRange(f"alpha = {x!r} outside its allowed range")
+def check_params(sector: str, params: dict) -> None:
+    """ParamOutOfRange unless sector is known, its discrete parameters are
+    +-1 and its continuous ones lie in an open component."""
+    if sector not in SECTOR_DISCRETE:
+        raise ParamOutOfRange(f"unknown sector {sector!r}")
+    for k in SECTOR_DISCRETE[sector]:
+        if params[k] not in SIGNS:
+            raise ParamOutOfRange(f"{k} = {params[k]!r} not in {{+1, -1}}")
+    for k in SECTOR_CONTINUOUS[sector]:
+        component_index(k, params[k])
 
 
 def _diag(x):
@@ -115,55 +135,27 @@ def _jordan(eps, off):
     return SL2Matrix(float(eps), float(off), 0.0, float(eps))
 
 
+# the two canonical matrices of each sector
+_CANONICAL = {
+    "AA1": lambda p: (_diag(p["lam"]), _diag(p["mu"])),
+    "AA2": lambda p: (_diag(p["lam"]), _diag(1.0 / p["mu"])),
+    "AB": lambda p: (_diag(p["lam"]), _scalar(p["eps2"])),
+    "BA": lambda p: (_scalar(p["eps1"]), _diag(p["mu"])),
+    "BB": lambda p: (_scalar(p["eps1"]), _scalar(p["eps2"])),
+    "BC": lambda p: (_scalar(p["eps1"]), _jordan(p["eps2"], p["eps4"])),
+    "CB": lambda p: (_jordan(p["eps1"], p["eps3"]), _scalar(p["eps2"])),
+    "BD": lambda p: (_scalar(p["eps1"]), rotation(p["phi"])),
+    "DB": lambda p: (rotation(p["theta"]), _scalar(p["eps2"])),
+    "CC": lambda p: (_jordan(p["eps1"], math.cos(p["alpha"])),
+                     _jordan(p["eps2"], math.sin(p["alpha"]))),
+    "DD": lambda p: (rotation(p["theta"]), rotation(p["phi"])),
+}
+
+
 def reconstruct(sector: str, params: dict) -> CommutingPair:
     """The literal canonical matrices of the given sector and parameters."""
-    p = params
-    if sector in ("AA1", "AA2"):
-        _check_unit_interval("lam", p["lam"])
-        _check_unit_interval("mu", p["mu"])
-        U2 = _diag(p["mu"]) if sector == "AA1" else _diag(1.0 / p["mu"])
-        return CommutingPair(_diag(p["lam"]), U2)
-    if sector == "AB":
-        _check_unit_interval("lam", p["lam"])
-        _check_sign("eps2", p["eps2"])
-        return CommutingPair(_diag(p["lam"]), _scalar(p["eps2"]))
-    if sector == "BA":
-        _check_sign("eps1", p["eps1"])
-        _check_unit_interval("mu", p["mu"])
-        return CommutingPair(_scalar(p["eps1"]), _diag(p["mu"]))
-    if sector == "BB":
-        _check_sign("eps1", p["eps1"])
-        _check_sign("eps2", p["eps2"])
-        return CommutingPair(_scalar(p["eps1"]), _scalar(p["eps2"]))
-    if sector == "BC":
-        for k in ("eps1", "eps2", "eps4"):
-            _check_sign(k, p[k])
-        return CommutingPair(_scalar(p["eps1"]), _jordan(p["eps2"], p["eps4"]))
-    if sector == "CB":
-        for k in ("eps1", "eps2", "eps3"):
-            _check_sign(k, p[k])
-        return CommutingPair(_jordan(p["eps1"], p["eps3"]), _scalar(p["eps2"]))
-    if sector == "BD":
-        _check_sign("eps1", p["eps1"])
-        _check_open_angle("phi", p["phi"])
-        return CommutingPair(_scalar(p["eps1"]), rotation(p["phi"]))
-    if sector == "DB":
-        _check_open_angle("theta", p["theta"])
-        _check_sign("eps2", p["eps2"])
-        return CommutingPair(rotation(p["theta"]), _scalar(p["eps2"]))
-    if sector == "CC":
-        _check_sign("eps1", p["eps1"])
-        _check_sign("eps2", p["eps2"])
-        _check_alpha(p["alpha"])
-        return CommutingPair(
-            _jordan(p["eps1"], math.cos(p["alpha"])),
-            _jordan(p["eps2"], math.sin(p["alpha"])),
-        )
-    if sector == "DD":
-        _check_open_angle("theta", p["theta"])
-        _check_open_angle("phi", p["phi"])
-        return CommutingPair(rotation(p["theta"]), rotation(p["phi"]))
-    raise ParamOutOfRange(f"unknown sector {sector!r}")
+    check_params(sector, params)
+    return CommutingPair(*_CANONICAL[sector](params))
 
 
 # ---------------------------------------------------------------------------

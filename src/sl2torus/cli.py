@@ -27,6 +27,7 @@ from .canonical import (
     SECTOR_CONTINUOUS,
     SECTOR_DISCRETE,
     SECTORS,
+    SIGNS,
     apply_conjugation,
     canonicalize,
     reconstruct,
@@ -104,11 +105,18 @@ def _entry_float(e, where):
 def _entry_fraction(e, where):
     if isinstance(e, list):
         _check_denominator(e, where)
-        return Fraction(e[0], e[1])
-    if isinstance(e, int):
-        return Fraction(e)
-    raise ParseFailure(f"{where}: rational mode requires integer or "
-                       f"[num, den] entries, got {e!r}")
+        x = Fraction(e[0], e[1])
+    elif isinstance(e, int):
+        x = Fraction(e)
+    else:
+        raise ParseFailure(f"{where}: rational mode requires integer or "
+                           f"[num, den] entries, got {e!r}")
+    # classification takes square roots in floats
+    try:
+        float(x)
+    except OverflowError:
+        raise ParseFailure(f"{where}: entry {e!r} beyond the float range")
+    return x
 
 
 def _pair(side, rec_id, mode, cfg):
@@ -279,7 +287,7 @@ def cmd_sample(args):
     finite = not SECTOR_CONTINUOUS[args.sector]
     if finite:
         keys = SECTOR_DISCRETE[args.sector]
-        combos = list(product((1, -1), repeat=len(keys)))
+        combos = list(product(SIGNS, repeat=len(keys)))
         choices = [dict(zip(keys, combo)) for combo in combos]
         param_list = [choices[i % len(choices)] for i in range(args.count)]
     else:
@@ -316,17 +324,6 @@ def cmd_plot(args):
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--det-tol", type=float, default=1e-9)
-    sub.add_argument("--class-tol", type=float, default=1e-9)
-    sub.add_argument("--comm-tol", type=float, default=1e-9)
-    sub.add_argument("--param-tol", type=float, default=1e-8)
-    sub.add_argument("--mode", choices=("float", "rational"), default=None,
-                     help="override the per-record arithmetic mode")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl2torus",
@@ -342,20 +339,28 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("input", help="JSON input document")
-        _add_common(sub)
+        sub.add_argument("--det-tol", type=float, default=1e-9)
+        sub.add_argument("--class-tol", type=float, default=1e-9)
+        sub.add_argument("--comm-tol", type=float, default=1e-9)
+        sub.add_argument("--param-tol", type=float, default=1e-8)
+        sub.add_argument("--mode", choices=("float", "rational"),
+                         default=None,
+                         help="override the per-record arithmetic mode")
+        sub.add_argument("--out", default=None)
         sub.set_defaults(func=fn)
 
     sub = subs.add_parser("sample", help="draw pairs from a sector")
     sub.add_argument("sector")
     sub.add_argument("--count", type=int, default=10)
     sub.add_argument("--conjugate", action="store_true")
-    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_sample)
 
     sub = subs.add_parser("plot", help="emit SVG + CSV figure")
     sub.add_argument("figure", choices=FIGURES)
     sub.add_argument("--resolution", type=int, default=12)
-    _add_common(sub)
+    sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_plot)
     return parser
 

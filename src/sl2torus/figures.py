@@ -3,31 +3,22 @@ for CSV emission and a fixed-camera orthographic SVG."""
 
 from __future__ import annotations
 
-import math
-
 from . import constants as K
-from .atlas import (
-    ALPHA_COMPONENTS,
-    ANGLE_COMPONENTS,
-    _SIGN_CHAR,
-    _SIGNS,
-    _lbl,
-    bb_label,
-    embed,
-)
-from .canonical import CanonicalPair, CanonTrace
+from .atlas import depiction_component, embed
+from .canonical import AXIS_COMPONENTS, SIGNS, CanonicalPair, CanonTrace
 from .sl2 import IDENTITY
 
 FIGURES = ("ab", "bc", "bd", "overall")
 
-PI = math.pi
 
-
-def _point(kind, component, circle, sector, params):
-    ep = embed(CanonicalPair(sector, params, IDENTITY, CanonTrace()))
+def _point(kind, sector, params, circle="", component=None):
+    """One sample row; its component is the depiction component of the
+    point unless given."""
+    c = CanonicalPair(sector, params, IDENTITY, CanonTrace())
+    ep = embed(c)
     return {
         "kind": kind,
-        "component": component,
+        "component": component or depiction_component(c),
         "circle": circle,
         "sector": sector,
         "params": ";".join(f"{k}={v!r}" for k, v in sorted(params.items())),
@@ -49,77 +40,60 @@ def _angle_samples(comp, n):
 
 def _ab_rows(n):
     rows = []
-    for sector, side in (("AA1", "sheet-AA1"), ("AA2", "sheet-AA2")):
-        for s1 in _SIGNS:
-            for s2 in _SIGNS:
+    # each AA sheet is one component of the figure, not four
+    for sector in ("AA1", "AA2"):
+        for s1 in SIGNS:
+            for s2 in SIGNS:
                 for lam in (s1 * t for t in _interior(n)):
                     for mu in (s2 * t for t in _interior(n)):
-                        rows.append(_point("sheet", side, "", sector,
-                                           {"lam": lam, "mu": mu}))
-    for e in _SIGNS:
-        for s in _SIGNS:
-            comp = 0 if s < 0 else 1
-            ab = _lbl("AB", _SIGN_CHAR[e], f"lam{comp}")
-            ba = _lbl("BA", _SIGN_CHAR[e], f"mu{comp}")
+                        rows.append(_point("sheet", sector,
+                                           {"lam": lam, "mu": mu},
+                                           component=f"sheet-{sector}"))
+    for e in SIGNS:
+        for s in SIGNS:
             for t in _interior(n):
-                rows.append(_point("edge", ab, "", "AB",
-                                   {"lam": s * t, "eps2": e}))
-                rows.append(_point("edge", ba, "", "BA",
-                                   {"eps1": e, "mu": s * t}))
-    for e1 in _SIGNS:
-        for e2 in _SIGNS:
-            rows.append(_point("vertex", bb_label(e1, e2), "", "BB",
-                               {"eps1": e1, "eps2": e2}))
-    return rows
+                rows.append(_point("edge", "AB", {"lam": s * t, "eps2": e}))
+                rows.append(_point("edge", "BA", {"eps1": e, "mu": s * t}))
+    return rows + _bb_rows()
+
+
+def _bb_rows():
+    return [_point("vertex", "BB", {"eps1": e1, "eps2": e2})
+            for e1 in SIGNS for e2 in SIGNS]
 
 
 def _bc_rows(n):
     rows = []
-    for e1 in _SIGNS:
-        for e2 in _SIGNS:
-            circle = f"circle:{_SIGN_CHAR[e1]}{_SIGN_CHAR[e2]}"
-            for k, comp in enumerate(ALPHA_COMPONENTS):
-                label = _lbl("CC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], f"arc{k}")
+    for e1 in SIGNS:
+        for e2 in SIGNS:
+            circle = "circle:" + "+-"[e1 < 0] + "+-"[e2 < 0]
+            for comp in AXIS_COMPONENTS["alpha"]:
                 for alpha in _angle_samples(comp, n):
-                    rows.append(_point("arc", label, circle, "CC",
-                                       {"eps1": e1, "eps2": e2,
-                                        "alpha": alpha}))
-            for e4 in _SIGNS:
-                rows.append(_point(
-                    "point",
-                    _lbl("BC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e4]),
-                    circle, "BC", {"eps1": e1, "eps2": e2, "eps4": e4}))
-            for e3 in _SIGNS:
-                rows.append(_point(
-                    "point",
-                    _lbl("CB", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e3]),
-                    circle, "CB", {"eps1": e1, "eps2": e2, "eps3": e3}))
+                    rows.append(_point("arc", "CC", {"eps1": e1, "eps2": e2,
+                                                     "alpha": alpha}, circle))
+            for e4 in SIGNS:
+                rows.append(_point("point", "BC", {"eps1": e1, "eps2": e2,
+                                                   "eps4": e4}, circle))
+            for e3 in SIGNS:
+                rows.append(_point("point", "CB", {"eps1": e1, "eps2": e2,
+                                                   "eps3": e3}, circle))
     return rows
 
 
 def _bd_rows(n):
     rows = []
-    for c1, tc in enumerate(ANGLE_COMPONENTS):
-        for c2, pc in enumerate(ANGLE_COMPONENTS):
-            label = _lbl("DD", f"theta{c1}", f"phi{c2}")
+    for tc in AXIS_COMPONENTS["theta"]:
+        for pc in AXIS_COMPONENTS["phi"]:
             for theta in _angle_samples(tc, n):
                 for phi in _angle_samples(pc, n):
-                    rows.append(_point("patch", label, "", "DD",
+                    rows.append(_point("patch", "DD",
                                        {"theta": theta, "phi": phi}))
-    for e in _SIGNS:
-        for comp, pc in enumerate(ANGLE_COMPONENTS):
-            bd = _lbl("BD", _SIGN_CHAR[e], f"phi{comp}")
-            db = _lbl("DB", f"theta{comp}", _SIGN_CHAR[e])
+    for e in SIGNS:
+        for pc in AXIS_COMPONENTS["phi"]:
             for ang in _angle_samples(pc, n):
-                rows.append(_point("arc", bd, "", "BD",
-                                   {"eps1": e, "phi": ang}))
-                rows.append(_point("arc", db, "", "DB",
-                                   {"theta": ang, "eps2": e}))
-    for e1 in _SIGNS:
-        for e2 in _SIGNS:
-            rows.append(_point("vertex", bb_label(e1, e2), "", "BB",
-                               {"eps1": e1, "eps2": e2}))
-    return rows
+                rows.append(_point("arc", "BD", {"eps1": e, "phi": ang}))
+                rows.append(_point("arc", "DB", {"theta": ang, "eps2": e}))
+    return rows + _bb_rows()
 
 
 def figure_rows(figure: str, resolution: int = 12):

@@ -44,19 +44,6 @@ _DET_FORM = np.array([
 ])
 
 
-def sl2_from_coords(omega: float, s: float, x: float) -> SL2Matrix:
-    """Rotation * positive diagonal scaling * unit upper shear; covers the
-    whole group (Iwasawa-style product)."""
-    co, si = math.cos(omega), math.sin(omega)
-    es = math.exp(s)
-    ei = 1.0 / es
-    # R(omega) @ diag(es, ei) @ [[1, x], [0, 1]]
-    return SL2Matrix(
-        co * es, co * es * x - si * ei,
-        si * es, si * es * x + co * ei,
-    )
-
-
 @dataclass(frozen=True)
 class ConjugatorSearchReport:
     best_S: SL2Matrix

@@ -92,6 +92,19 @@ def rotation(angle: float) -> SL2Matrix:
     return SL2Matrix(co, -si, si, co)
 
 
+def sl2_from_coords(omega: float, s: float, x: float) -> SL2Matrix:
+    """Rotation * positive diagonal scaling * unit upper shear; covers the
+    whole group (Iwasawa-style product)."""
+    co, si = math.cos(omega), math.sin(omega)
+    es = math.exp(s)
+    ei = 1.0 / es
+    # R(omega) @ diag(es, ei) @ [[1, x], [0, 1]]
+    return SL2Matrix(
+        co * es, co * es * x - si * ei,
+        si * es, si * es * x + co * ei,
+    )
+
+
 def conjugate(U: SL2Matrix, S: SL2Matrix) -> SL2Matrix:
     """S^{-1} U S."""
     return S.inv() @ U @ S
@@ -169,15 +182,17 @@ class SpectralType:
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     """Spectral type of U.  On an exact matrix the tolerance is 0, so the
     |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
-    Integer constants keep Fraction arithmetic exact up to the square root
-    of the discriminant and the final float results."""
+    Integer constants keep Fraction arithmetic exact up to the square roots
+    and the final float results."""
     tol = 0 if is_exact(U) else cfg.class_tol
     t = U.trace()
     if abs(t) > 2 + tol:
-        disc = math.sqrt(t * t - 4)
-        sgn = 1.0 if t > 0 else -1.0
-        lam = (t - sgn * disc) / 2.0       # the member with |lam| < 1
-        lam_inv = (t + sgn * disc) / 2.0
+        # the large-modulus root has no cancellation and t*t cannot
+        # overflow; the small one is its inverse, since det = 1
+        s = abs(t)
+        disc = math.sqrt(s - 2) * math.sqrt(s + 2)
+        lam_inv = math.copysign((s + disc) / 2.0, t)
+        lam = 1.0 / lam_inv                # the member with |lam| < 1
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
         return SpectralType("A", lam=lam, directions=(v_small, v_big))

@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 from collections import Counter
@@ -20,7 +21,14 @@ from sl2torus import (
     sector_distance,
 )
 from sl2torus.atlas import component_key, sample_params, sample_sector
-from sl2torus.canonical import SECTOR_CONTINUOUS, SECTORS
+from sl2torus.canonical import (
+    SECTOR_CONTINUOUS,
+    SECTORS,
+    CanonicalPair,
+    CanonTrace,
+)
+from sl2torus.figures import figure_rows
+from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
 
@@ -187,6 +195,19 @@ def test_every_sample_maps_to_known_component():
         rng = random.Random(5000 + i)
         c = canon_of(sector, sample_params(sector, rng))
         assert depiction_component(c) in labels[sector]
+
+
+def test_figure_rows_use_depiction_components():
+    labels = component_labels()
+    rows = [r for r in figure_rows("overall", 3) if r["kind"] != "sheet"]
+    assert rows
+    for r in rows:
+        params = {k: ast.literal_eval(v) for k, v in
+                  (kv.split("=") for kv in r["params"].split(";"))}
+        label = depiction_component(
+            CanonicalPair(r["sector"], params, IDENTITY, CanonTrace()))
+        assert r["component"] == label
+        assert label in labels[r["sector"]]
 
 
 # --- embedding ------------------------------------------------------------

@@ -253,6 +253,14 @@ def test_reconstruct_dd():
     ("BD", {"eps1": 2, "phi": 1.0}),
     ("CC", {"eps1": 1, "eps2": 1, "alpha": math.pi / 2}),
     ("DD", {"theta": 0.0, "phi": 1.0}),
+    ("BA", {"eps1": 1, "mu": -1.0}),
+    ("AA2", {"lam": 0.5, "mu": 0.0}),
+    ("CC", {"eps1": 1, "eps2": -1, "alpha": math.pi}),
+    ("CC", {"eps1": 1, "eps2": -1, "alpha": 3 * math.pi / 2}),
+    ("CB", {"eps1": 1, "eps2": 1, "eps3": 0}),
+    ("BC", {"eps1": 1, "eps2": 1, "eps4": 0}),
+    ("DB", {"theta": math.nan, "eps2": 1}),
+    ("ZZ", {}),
 ])
 def test_reconstruct_rejects_out_of_range(sector, params):
     with pytest.raises(ParamOutOfRange):

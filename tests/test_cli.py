@@ -124,13 +124,20 @@ def test_parse_error_zero_denominator(tmp_path, capsys, mode):
     assert "p0" in err and "zero denominator" in err
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
-                         ids=["nan", "inf", "-inf", "huge-int"])
-def test_parse_error_non_finite(tmp_path, capsys, bad):
-    inp = write_doc(tmp_path, pair_doc(([[bad, 0], [0, 1]], IDENT)))
+@pytest.mark.parametrize("U1,mode,message", [
+    ([[math.nan, 0], [0, 1]], "float", "non-finite"),
+    ([[math.inf, 0], [0, 1]], "float", "non-finite"),
+    ([[-math.inf, 0], [0, 1]], "float", "non-finite"),
+    ([[10**400, 0], [0, 1]], "float", "non-finite"),
+    ([[10**330, 0], [0, [1, 10**330]]], "rational", "beyond the float range"),
+], ids=["nan", "inf", "-inf", "huge-int", "rational-huge"])
+def test_parse_error_non_finite(tmp_path, capsys, U1, mode, message):
+    doc = pair_doc((U1, IDENT))
+    doc["pairs"][0]["mode"] = mode
+    inp = write_doc(tmp_path, doc)
     assert main(["canon", inp]) == EXIT_PARSE
     err = capsys.readouterr().err
-    assert "p0" in err and "non-finite" in err
+    assert "p0" in err and message in err
 
 
 def test_internal_validation_error_code(tmp_path):
@@ -342,6 +349,23 @@ def test_plot_bc_structure(tmp_path):
     assert len(circles) == 4
     assert len(arcs) == 16
     assert len(points) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "ab", "--det-tol", "1"],
+    ["plot", "ab", "--mode", "float"],
+    ["plot", "ab", "--seed", "1"],
+    ["sample", "DD", "--param-tol", "1"],
+    ["sample", "DD", "--mode", "rational"],
+    ["classify", "in.json", "--seed", "1"],
+    ["canon", "in.json", "--seed", "1"],
+    ["equiv", "in.json", "--seed", "1"],
+], ids=lambda argv: argv[0] + argv[2])
+def test_unread_options_rejected(argv):
+    # each subcommand declares only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_plot_deterministic(tmp_path):

@@ -73,10 +73,13 @@ def test_classify_exact_has_no_band():
     assert classify(U).tag == "D"
 
 
-def test_classify_hyperbolic_diag():
-    st_ = classify(make_sl2(2, 0, 0, 0.5), CFG)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("lam", [0.5, 1e-3, 1e-8, 1e-9, 1e-160])
+def test_classify_hyperbolic_diag(lam, sign):
+    # a large trace must neither cancel the small eigenvalue nor overflow
+    st_ = classify(make_sl2(sign / lam, 0, 0, sign * lam), CFG)
     assert st_.tag == "A"
-    assert st_.lam == pytest.approx(0.5)
+    assert st_.lam == pytest.approx(sign * lam, rel=1e-12)
 
 
 def test_classify_minus_identity():
