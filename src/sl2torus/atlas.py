@@ -1,6 +1,8 @@
-"""The moduli space as a parametrized object: sector parameter domains
-(from the table in `canonical`), the separated-topology metric, the cell-complex incidence structure of the
-3D depiction, embedding coordinates, and sector sampling.
+"""The moduli space as a parametrized object: sector parameter domains,
+the separated-topology metric, the components and cell-complex incidence
+of the 3D depiction, embedding coordinates, and sector sampling.  Domains,
+component labels and incidence are all derived from `canonical`'s
+parameter table and canonical matrices.
 
 Two topologies coexist and are never mixed: `sector_distance` implements
 the separated (Hausdorff) topology in which the eleven sectors and their
@@ -13,16 +15,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from . import constants as K
 from .canonical import (
     AXIS_COMPONENTS,
+    CANONICAL,
     SECTOR_CONTINUOUS,
     SECTOR_DISCRETE,
     SECTORS,
     SIGNS,
     CanonicalPair,
     apply_conjugation,
+    canonicalize,
     check_params,
     component_index,
     reconstruct,
@@ -93,49 +98,46 @@ def sector_distance(c1: CanonicalPair, c2: CanonicalPair) -> float:
 # depiction topology: components, incidence, embedding
 # ---------------------------------------------------------------------------
 
-_SIGN_CHAR = {1: "+", -1: "-"}
+# label order of each sector's axes: the discrete ones, then the continuous
+# ones, except DB, which keeps the order of its pair (theta, eps2)
+_LABEL_AXES = {s: SECTOR_DISCRETE[s] + SECTOR_CONTINUOUS[s]
+               for s in SECTORS}
+_LABEL_AXES["DB"] = ("theta", "eps2")
 
 
-def _lbl(sector, *bits):
+def _token(sector: str, name: str, value) -> str:
+    # a discrete parameter, and lam and mu on an AA sheet, by their sign
+    if name in SECTOR_DISCRETE[sector] or sector in ("AA1", "AA2"):
+        return "+" if value > 0 else "-"
+    k = component_index(name, value)
+    return ("arc" if name == "alpha" else name) + str(k)
+
+
+def _component(sector: str, params: dict) -> str:
     # "/" keeps labels safe as unquoted CSV fields
-    return sector + ":" + "/".join(str(b) for b in bits)
+    return sector + ":" + "/".join(
+        _token(sector, name, params[name]) for name in _LABEL_AXES[sector]
+    )
 
 
-def bb_label(e1, e2):
-    return _lbl("BB", _SIGN_CHAR[e1], _SIGN_CHAR[e2])
+def depiction_component(c: CanonicalPair) -> str:
+    """Depiction component label for a canonical pair."""
+    return _component(c.sector, c.params)
+
+
+def _cells(sector: str):
+    """One parameter point inside every depiction cell of sector: each
+    discrete parameter at one sign, each continuous one at the midpoint of
+    one of its components."""
+    axes = [[(name, e) for e in SIGNS] for name in SECTOR_DISCRETE[sector]]
+    axes += [[(name, (lo + hi) / 2) for lo, hi in AXIS_COMPONENTS[name]]
+             for name in SECTOR_CONTINUOUS[sector]]
+    return [dict(point) for point in product(*axes)]
 
 
 def component_labels():
     """All depiction components, keyed by sector."""
-    out = {s: [] for s in SECTORS}
-    for e1 in SIGNS:
-        for e2 in SIGNS:
-            out["BB"].append(bb_label(e1, e2))
-            out["CC"].extend(
-                _lbl("CC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], f"arc{k}")
-                for k in range(4)
-            )
-            for e in SIGNS:
-                out["BC"].append(
-                    _lbl("BC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e])
-                )
-                out["CB"].append(
-                    _lbl("CB", _SIGN_CHAR[e1], _SIGN_CHAR[e2], _SIGN_CHAR[e])
-                )
-    for s1 in SIGNS:
-        for s2 in SIGNS:
-            out["AA1"].append(_lbl("AA1", _SIGN_CHAR[s1], _SIGN_CHAR[s2]))
-            out["AA2"].append(_lbl("AA2", _SIGN_CHAR[s1], _SIGN_CHAR[s2]))
-    for e in SIGNS:
-        for comp in range(2):
-            out["AB"].append(_lbl("AB", _SIGN_CHAR[e], f"lam{comp}"))
-            out["BA"].append(_lbl("BA", _SIGN_CHAR[e], f"mu{comp}"))
-            out["BD"].append(_lbl("BD", _SIGN_CHAR[e], f"phi{comp}"))
-            out["DB"].append(_lbl("DB", f"theta{comp}", _SIGN_CHAR[e]))
-    for c1 in range(2):
-        for c2 in range(2):
-            out["DD"].append(_lbl("DD", f"theta{c1}", f"phi{c2}"))
-    return out
+    return {s: [_component(s, p) for p in _cells(s)] for s in SECTORS}
 
 
 @dataclass(frozen=True)
@@ -149,111 +151,29 @@ class CellIncidence:
         return [e for e in self.entries if e[0] == higher_label]
 
 
-def _angle_endpoint_sign(comp: int, side: str) -> int:
-    # component 0 = (0, pi): endpoints 0 (+1) and pi (-1)
-    # component 1 = (pi, 2pi): endpoints pi (-1) and 2pi == 0 (+1)
-    if comp == 0:
-        return 1 if side == "lo" else -1
-    return -1 if side == "lo" else 1
+def _limit_component(sector: str, params: dict) -> str:
+    try:
+        pair = CommutingPair(*CANONICAL[sector](params))
+    except ZeroDivisionError:  # a diagonal entry runs to infinity
+        return "(open)"
+    return depiction_component(canonicalize(pair))
 
 
 def incidence() -> CellIncidence:
+    """Codimension-1 boundaries of every depiction cell: one continuous
+    parameter runs to either end of its component while the others stay
+    inside theirs, and the boundary is the component of the canonicalized
+    limit pair, or "(open)" where the canonical matrices diverge."""
     ent = []
-    # A/B subspace: AA sheets -> AB/BA edges -> BB vertices
-    for kind in ("AA1", "AA2"):
-        for s1 in SIGNS:
-            for s2 in SIGNS:
-                cell = _lbl(kind, _SIGN_CHAR[s1], _SIGN_CHAR[s2])
-                lam_comp = 0 if s1 < 0 else 1
-                mu_comp = 0 if s2 < 0 else 1
-                ent.append((cell, _lbl("AB", _SIGN_CHAR[s2], f"lam{lam_comp}"),
-                            f"mu -> {s2}"))
-                ent.append((cell, _lbl("BA", _SIGN_CHAR[s1], f"mu{mu_comp}"),
-                            f"lam -> {s1}"))
-                ent.append((cell, bb_label(s1, s2), "corner"))
-                ent.append((cell, "(open)", "lam -> 0 edge unattached"))
-                ent.append((cell, "(open)", "mu -> 0 edge unattached"))
-    for e in SIGNS:
-        for comp, sgn in ((0, -1), (1, 1)):
-            ent.append((_lbl("AB", _SIGN_CHAR[e], f"lam{comp}"),
-                        bb_label(sgn, e), f"lam -> {sgn}"))
-            ent.append((_lbl("AB", _SIGN_CHAR[e], f"lam{comp}"),
-                        "(open)", "lam -> 0 end unattached"))
-            ent.append((_lbl("BA", _SIGN_CHAR[e], f"mu{comp}"),
-                        bb_label(e, sgn), f"mu -> {sgn}"))
-            ent.append((_lbl("BA", _SIGN_CHAR[e], f"mu{comp}"),
-                        "(open)", "mu -> 0 end unattached"))
-    # B/D subspace: DD patches -> BD/DB arcs -> BB vertices
-    for c1 in range(2):
-        for c2 in range(2):
-            cell = _lbl("DD", f"theta{c1}", f"phi{c2}")
-            for side in ("lo", "hi"):
-                e1 = _angle_endpoint_sign(c1, side)
-                ent.append((cell, _lbl("BD", _SIGN_CHAR[e1], f"phi{c2}"),
-                            f"theta boundary ({side})"))
-                e2 = _angle_endpoint_sign(c2, side)
-                ent.append((cell, _lbl("DB", f"theta{c1}", _SIGN_CHAR[e2]),
-                            f"phi boundary ({side})"))
-    for e in SIGNS:
-        for comp in range(2):
-            for side in ("lo", "hi"):
-                other = _angle_endpoint_sign(comp, side)
-                ent.append((_lbl("BD", _SIGN_CHAR[e], f"phi{comp}"),
-                            bb_label(e, other), f"phi boundary ({side})"))
-                ent.append((_lbl("DB", f"theta{comp}", _SIGN_CHAR[e]),
-                            bb_label(other, e), f"theta boundary ({side})"))
-    # B/C subspace: CC arcs -> BC/CB points, four circles of four arcs each
-    arc_ends = {
-        0: (("CB", 1), ("BC", 1)),
-        1: (("BC", 1), ("CB", -1)),
-        2: (("CB", -1), ("BC", -1)),
-        3: (("BC", -1), ("CB", 1)),
-    }
-    for e1 in SIGNS:
-        for e2 in SIGNS:
-            for k in range(4):
-                arc = _lbl("CC", _SIGN_CHAR[e1], _SIGN_CHAR[e2], f"arc{k}")
-                for sec, s in arc_ends[k]:
-                    ent.append((arc, _lbl(sec, _SIGN_CHAR[e1],
-                                          _SIGN_CHAR[e2], _SIGN_CHAR[s]),
-                                "arc endpoint"))
+    for sector in SECTORS:
+        for point in _cells(sector):
+            cell = _component(sector, point)
+            for name in SECTOR_CONTINUOUS[sector]:
+                k = component_index(name, point[name])
+                for end in AXIS_COMPONENTS[name][k]:
+                    boundary = _limit_component(sector, {**point, name: end})
+                    ent.append((cell, boundary, f"{name} -> {end:g}"))
     return CellIncidence(tuple(ent))
-
-
-def depiction_component(c: CanonicalPair) -> str:
-    """Depiction component label for a canonical pair."""
-    p = c.params
-    s = c.sector
-    if s == "BB":
-        return bb_label(p["eps1"], p["eps2"])
-    if s in ("AA1", "AA2"):
-        return _lbl(s, _SIGN_CHAR[1 if p["lam"] > 0 else -1],
-                    _SIGN_CHAR[1 if p["mu"] > 0 else -1])
-    if s == "AB":
-        return _lbl("AB", _SIGN_CHAR[p["eps2"]],
-                    f"lam{component_index('lam', p['lam'])}")
-    if s == "BA":
-        return _lbl("BA", _SIGN_CHAR[p["eps1"]],
-                    f"mu{component_index('mu', p['mu'])}")
-    if s == "BD":
-        return _lbl("BD", _SIGN_CHAR[p["eps1"]],
-                    f"phi{component_index('phi', p['phi'])}")
-    if s == "DB":
-        return _lbl("DB", f"theta{component_index('theta', p['theta'])}",
-                    _SIGN_CHAR[p["eps2"]])
-    if s == "DD":
-        return _lbl("DD", f"theta{component_index('theta', p['theta'])}",
-                    f"phi{component_index('phi', p['phi'])}")
-    if s == "CC":
-        return _lbl("CC", _SIGN_CHAR[p["eps1"]], _SIGN_CHAR[p["eps2"]],
-                    f"arc{component_index('alpha', p['alpha'])}")
-    if s == "BC":
-        return _lbl("BC", _SIGN_CHAR[p["eps1"]], _SIGN_CHAR[p["eps2"]],
-                    _SIGN_CHAR[p["eps4"]])
-    if s == "CB":
-        return _lbl("CB", _SIGN_CHAR[p["eps1"]], _SIGN_CHAR[p["eps2"]],
-                    _SIGN_CHAR[p["eps3"]])
-    raise ParamOutOfRange(s)
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,10 @@ def _jordan(eps, off):
     return SL2Matrix(float(eps), float(off), 0.0, float(eps))
 
 
-# the two canonical matrices of each sector
-_CANONICAL = {
+# the two canonical matrices of each sector; unlike reconstruct, no check,
+# so they can be evaluated at the ends of the open components (a diagonal
+# entry that runs to infinity raises ZeroDivisionError)
+CANONICAL = {
     "AA1": lambda p: (_diag(p["lam"]), _diag(p["mu"])),
     "AA2": lambda p: (_diag(p["lam"]), _diag(1.0 / p["mu"])),
     "AB": lambda p: (_diag(p["lam"]), _scalar(p["eps2"])),
@@ -155,7 +157,7 @@ _CANONICAL = {
 def reconstruct(sector: str, params: dict) -> CommutingPair:
     """The literal canonical matrices of the given sector and parameters."""
     check_params(sector, params)
-    return CommutingPair(*_CANONICAL[sector](params))
+    return CommutingPair(*CANONICAL[sector](params))
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +183,15 @@ def canon_AA(p: CommutingPair, t1: SpectralType, t2: SpectralType,
              cfg: ToleranceConfig) -> CanonicalPair:
     v, w = t1.directions  # small-|eigenvalue| direction first
     S = _sl2_from_basis(v, w)
-    C1 = conjugate(p.U1, S)
     C2 = conjugate(p.U2, S)
-    lam = C1.a
-    mu_first = C2.a
-    trace = CanonTrace(
-        joint_eigendirections=(v, w),
-        det_sprime_sign=1 if _det2(v, w) > 0 else -1,
-    )
-    if abs(mu_first) < 1.0:
-        return CanonicalPair(
-            "AA1", {"lam": lam, "mu": mu_first}, S,
-            CanonTrace(trace.joint_eigendirections, None,
-                       trace.det_sprime_sign, ("AA1",)),
-        )
+    # AA1 if U2 also contracts the first direction, else AA2, whose mu is
+    # the eigenvalue of U2 on the second
+    sector = "AA1" if abs(C2.a) < 1.0 else "AA2"
     return CanonicalPair(
-        "AA2", {"lam": lam, "mu": C2.d}, S,
-        CanonTrace(trace.joint_eigendirections, None,
-                   trace.det_sprime_sign, ("AA2",)),
+        sector,
+        {"lam": conjugate(p.U1, S).a, "mu": C2.a if sector == "AA1" else C2.d},
+        S,
+        CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, (sector,)),
     )
 
 

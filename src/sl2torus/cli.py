@@ -103,20 +103,23 @@ def _entry_float(e, where):
 
 
 def _entry_fraction(e, where):
-    if isinstance(e, list):
-        _check_denominator(e, where)
-        x = Fraction(e[0], e[1])
-    elif isinstance(e, int):
-        x = Fraction(e)
-    else:
+    parts = e if isinstance(e, list) else [e, 1]
+    # the schema's integer also admits integral floats such as 2.0
+    if not all(isinstance(x, int) for x in parts):
         raise ParseFailure(f"{where}: rational mode requires integer or "
                            f"[num, den] entries, got {e!r}")
+    _check_denominator(parts, where)
+    x = Fraction(*parts)
+    _check_float_range(x, f"{where}: entry {e!r}")
+    return x
+
+
+def _check_float_range(x, what):
     # classification takes square roots in floats
     try:
         float(x)
     except OverflowError:
-        raise ParseFailure(f"{where}: entry {e!r} beyond the float range")
-    return x
+        raise ParseFailure(f"{what} beyond the float range")
 
 
 def _pair(side, rec_id, mode, cfg):
@@ -125,6 +128,9 @@ def _pair(side, rec_id, mode, cfg):
     entry = _entry_fraction if mode == "rational" else _entry_float
     U1, U2 = ([entry(x, rec_id) for row in side[k] for x in row]
               for k in ("U1", "U2"))
+    if mode == "rational":  # each entry fits a float, its trace may not
+        for k, U in (("U1", U1), ("U2", U2)):
+            _check_float_range(U[0] + U[3], f"{rec_id}: trace of {k}")
     return make_pair(make_sl2(*U1, cfg), make_sl2(*U2, cfg), cfg)
 
 
@@ -232,13 +238,17 @@ def _equiv_record(rec, args, cfg):
     }
 
 
-def _emit(lines, args):
-    text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines)
+def _write(text, args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(lines, args):
+    _write("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines),
+           args)
 
 
 def _run_batch(args, schema, key, handler):
@@ -303,12 +313,8 @@ def cmd_sample(args):
             "U1": p.U1.entries(),
             "U2": p.U2.entries(),
         })
-    text = json.dumps({"pairs": records}, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps({"pairs": records}, sort_keys=True, indent=2) + "\n",
+           args)
     return EXIT_OK
 
 

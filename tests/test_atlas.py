@@ -20,14 +20,24 @@ from sl2torus import (
     reconstruct,
     sector_distance,
 )
-from sl2torus.atlas import component_key, sample_params, sample_sector
+from sl2torus.atlas import (
+    _cells,
+    _component,
+    component_key,
+    sample_params,
+    sample_sector,
+)
 from sl2torus.canonical import (
+    AXIS_COMPONENTS,
+    CANONICAL,
     SECTOR_CONTINUOUS,
     SECTORS,
     CanonicalPair,
     CanonTrace,
+    component_index,
 )
 from sl2torus.figures import figure_rows
+from sl2torus.pairs import CommutingPair
 from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
@@ -180,6 +190,45 @@ def test_bd_arc_ends_at_bb():
     inc = incidence()
     bnds = {b for _, b, _ in inc.boundaries_of("BD:+/phi0")}
     assert bnds == {"BB:+/+", "BB:+/-"}
+
+
+def test_incidence_is_a_cell_complex():
+    labels = component_labels()
+    sector_of = {label: s for s, ls in labels.items() for label in ls}
+    dim = {s: parameter_domain(s).dimension for s in SECTORS}
+    inc = incidence()
+    # every boundary is open or a cell of exactly one dimension lower
+    for cell, bnd, _ in inc.entries:
+        assert bnd == "(open)" or \
+            dim[sector_of[bnd]] == dim[sector_of[cell]] - 1
+    # a cell of dimension d has two ends on each of its d axes
+    counts = Counter(cell for cell, _, _ in inc.entries)
+    for label, sector in sector_of.items():
+        assert counts[label] == 2 * dim[sector], label
+    assert {b for _, b, _ in inc.boundaries_of("AA1:+/+")} == \
+        {"AB:+/lam1", "BA:+/mu1", "(open)"}
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6])
+def test_embed_continuous_at_attached_boundaries(delta):
+    # the interior point of each cell, by label
+    points = {_component(s, p): (s, p) for s in SECTORS for p in _cells(s)}
+    attached = [e for e in incidence().entries if e[1] != "(open)"]
+    assert attached
+    for cell, bnd, note in attached:
+        sector, inside = points[cell]
+        name, end_text = note.split(" -> ")
+        comp = AXIS_COMPONENTS[name][component_index(name, inside[name])]
+        end = min(comp, key=lambda x: abs(x - float(end_text)))
+        limit = canonicalize(CommutingPair(
+            *CANONICAL[sector]({**inside, name: end})))
+        assert depiction_component(limit) == bnd
+        near = {**inside,
+                name: end + math.copysign(delta, inside[name] - end)}
+        a = embed(CanonicalPair(sector, near, IDENTITY, CanonTrace()))
+        b = embed(limit)
+        assert math.dist((a.x, a.y, a.z), (b.x, b.y, b.z)) <= 10 * delta, \
+            (cell, bnd, note)
 
 
 def test_depiction_component_lookup():

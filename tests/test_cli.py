@@ -124,13 +124,23 @@ def test_parse_error_zero_denominator(tmp_path, capsys, mode):
     assert "p0" in err and "zero denominator" in err
 
 
+HUGE = 15 * 10**307
+
+
 @pytest.mark.parametrize("U1,mode,message", [
     ([[math.nan, 0], [0, 1]], "float", "non-finite"),
     ([[math.inf, 0], [0, 1]], "float", "non-finite"),
     ([[-math.inf, 0], [0, 1]], "float", "non-finite"),
     ([[10**400, 0], [0, 1]], "float", "non-finite"),
     ([[10**330, 0], [0, [1, 10**330]]], "rational", "beyond the float range"),
-], ids=["nan", "inf", "-inf", "huge-int", "rational-huge"])
+    # draft-07 integer admits 2.0, but a ratio part must be an integer
+    ([[[2.0, 2], 0], [0, 1]], "rational",
+     "rational mode requires integer or [num, den] entries"),
+    # every entry fits a float, the trace 2a does not
+    ([[HUGE, HUGE], [[HUGE * HUGE - 1, HUGE], HUGE]], "rational",
+     "trace of U1 beyond the float range"),
+], ids=["nan", "inf", "-inf", "huge-int", "rational-huge",
+        "rational-float-ratio", "rational-huge-trace"])
 def test_parse_error_non_finite(tmp_path, capsys, U1, mode, message):
     doc = pair_doc((U1, IDENT))
     doc["pairs"][0]["mode"] = mode
