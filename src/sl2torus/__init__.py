@@ -36,11 +36,6 @@ from .canonical import (
     equivalent,
     reconstruct,
 )
-from .oracle import (
-    ConjugatorSearchReport,
-    exact_classify,
-    search_conjugator,
-)
 from .atlas import (
     SEPARATED,
     CellIncidence,
@@ -57,3 +52,13 @@ from .atlas import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the oracle imports numpy, which nothing else needs: load it on first
+    # use (PEP 562)
+    if name in ("ConjugatorSearchReport", "exact_classify",
+                "search_conjugator"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
 from .pairs import CommutingPair, spectral_types
@@ -16,7 +17,9 @@ from .sl2 import (
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
+    binary_exponent,
     conjugate,
+    is_exact,
     rotation,
 )
 
@@ -227,15 +230,18 @@ def _parabolic_basis(U: SL2Matrix, eps):
     nc, nd = U.c, U.d - eps
     # pick the standard basis vector whose image under the nilpotent part
     # is larger; this yields the identity witness on canonical input
-    n1 = math.hypot(na, nc)
-    n2 = math.hypot(nb, nd)
-    if n2 >= n1:
-        w = (0, 1)
-        v1 = (nb, nd)
+    if not is_exact(U):
+        if math.hypot(nb, nd) >= math.hypot(na, nc):
+            return (nb, nd), (0, 1)
+        return (na, nc), (1, 0)
+    # exactly, and scaled by a power of two to determinant near 1, so that
+    # a nilpotent part far below the float range keeps its witness
+    if max(abs(nb), abs(nd)) >= max(abs(na), abs(nc)):
+        v1, w = (nb, nd), (0, 1)
     else:
-        w = (1, 0)
-        v1 = (na, nc)
-    return v1, w
+        v1, w = (na, nc), (1, 0)
+    s = Fraction(2) ** (binary_exponent(abs(_det2(v1, w))) // 2)
+    return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
 
 
 def canon_BC_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
@@ -385,16 +391,24 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)
-    got = apply_conjugation(p, result.witness)
-    err = max(
-        got.U1.max_abs_diff(target.U1),
-        got.U2.max_abs_diff(target.U2),
-    )
-    if err > 10.0 * cfg.param_tol * _scale(p):
+    W = result.witness
+    tol = 10.0 * cfg.param_tol * _scale(p)
+    err = _witness_error(p, W, target)
+    if err > tol and (is_exact(p.U1) or is_exact(p.U2)):
+        # a float product rounds an exact entry far below the float range
+        # to zero, so exact input that fails is checked again exactly
+        W = SL2Matrix(*(Fraction(x) for x in (W.a, W.b, W.c, W.d)))
+        err = _witness_error(p, W, target)
+    if err > tol:
         raise SL2TorusError(
             f"internal witness validation failed ({result.sector}, err {err:.3e})"
         )
     return result
+
+
+def _witness_error(p: CommutingPair, W: SL2Matrix, target: CommutingPair):
+    got = apply_conjugation(p, W)
+    return max(got.U1.max_abs_diff(target.U1), got.U2.max_abs_diff(target.U2))
 
 
 def _scale(p: CommutingPair):

@@ -17,10 +17,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 from itertools import product
-
-import jsonschema
 
 from .atlas import sample_params, random_sl2
 from .canonical import (
@@ -56,30 +53,68 @@ class ParseFailure(Exception):
     pass
 
 
-def _load_schema(name):
-    with resources.files("sl2torus.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
+# _read_document and _pair enforce exactly the schemas in sl2torus/schemas,
+# the documented input contract.  Every test is on type(x), never
+# isinstance: JSON true is a bool, an int subclass, but no schema number.
+
+# the record keys besides the optional "mode", per document kind
+_RECORD_KEYS = {"pairs": {"id", "U1", "U2"},
+                "comparisons": {"id", "left", "right"}}
 
 
-def _read_document(path, schema_name):
+def _where(path, i, rec_id):
+    return f"{path}: record {i} (id {rec_id!r})"
+
+
+def _read_document(path, key):
+    """The records of the document at `path`: an object whose one key `key`
+    holds a list of records with unique string ids.  Each record has
+    exactly its keys, an optional mode "float" or "rational" and, in a
+    comparison, "left" and "right" objects with exactly the keys U1 and U2.
+    The matrices are checked as `_pair` converts them."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}")
-    try:
-        jsonschema.validate(doc, _load_schema(schema_name))
-    except jsonschema.ValidationError as exc:
-        raise ParseFailure(f"{path}: {exc.message}")
-    return doc
-
-
-def _check_unique_ids(records, path):
-    seen = set()
-    for rec in records:
+    if type(doc) is not dict or doc.keys() != {key}:
+        raise ParseFailure(f"{path}: a document is an object with the one "
+                           f"key {key!r}")
+    records = doc[key]
+    if type(records) is not list:
+        raise ParseFailure(f"{path}: {key!r} is not a list")
+    keys, seen = _RECORD_KEYS[key], set()
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            raise ParseFailure(f"{_where(path, i, None)}: not an object")
+        where = _where(path, i, rec.get("id"))
+        if rec.keys() - {"mode"} != keys:
+            raise ParseFailure(f"{where}: keys {sorted(rec)}, expected "
+                               f"{sorted(keys)} and optionally 'mode'")
+        if type(rec["id"]) is not str:
+            raise ParseFailure(f"{where}: id is not a string")
+        if rec.get("mode", "float") not in ("float", "rational"):
+            raise ParseFailure(f"{where}: mode is not 'float' or 'rational'")
+        for side in ("left", "right") if key == "comparisons" else ():
+            if type(rec[side]) is not dict or rec[side].keys() != {"U1", "U2"}:
+                raise ParseFailure(f"{where}: {side} is not an object with "
+                                   f"the keys 'U1' and 'U2'")
         if rec["id"] in seen:
             raise ParseFailure(f"{path}: duplicate record id {rec['id']!r}")
         seen.add(rec["id"])
+    return records
+
+
+def _check_entry(e, where):
+    # a number, or [num, den] of draft-07 integers, which admit 2.0
+    if type(e) is list:
+        ok = len(e) == 2 and all(
+            type(x) is int or type(x) is float and x.is_integer() for x in e)
+    else:
+        ok = type(e) is int or type(e) is float
+    if not ok:
+        raise ParseFailure(f"{where}: entry {e!r} is neither a number nor "
+                           f"[num, den] of integers")
 
 
 def _check_denominator(e, where):
@@ -88,8 +123,9 @@ def _check_denominator(e, where):
 
 
 def _entry_float(e, where):
+    _check_entry(e, where)
     try:
-        if isinstance(e, list):
+        if type(e) is list:
             _check_denominator(e, where)
             x = e[0] / e[1]
         else:
@@ -103,9 +139,10 @@ def _entry_float(e, where):
 
 
 def _entry_fraction(e, where):
-    parts = e if isinstance(e, list) else [e, 1]
+    _check_entry(e, where)
+    parts = e if type(e) is list else [e, 1]
     # the schema's integer also admits integral floats such as 2.0
-    if not all(isinstance(x, int) for x in parts):
+    if not all(type(x) is int for x in parts):
         raise ParseFailure(f"{where}: rational mode requires integer or "
                            f"[num, den] entries, got {e!r}")
     _check_denominator(parts, where)
@@ -122,22 +159,22 @@ def _check_float_range(x, what):
         raise ParseFailure(f"{what} beyond the float range")
 
 
-def _pair(side, rec_id, mode, cfg):
+def _matrix(m, entry, where):
+    if not (type(m) is list and len(m) == 2
+            and all(type(row) is list and len(row) == 2 for row in m)):
+        raise ParseFailure(f"{where}: not a list of two rows of two entries")
+    return [entry(x, where) for row in m for x in row]
+
+
+def _pair(side, where, mode, cfg):
     """The validated pair of a record or comparison side.  In rational mode
     the entries are Fractions, so every test on the pair is exact."""
     entry = _entry_fraction if mode == "rational" else _entry_float
-    U1, U2 = ([entry(x, rec_id) for row in side[k] for x in row]
-              for k in ("U1", "U2"))
+    U1, U2 = (_matrix(side[k], entry, f"{where}, {k}") for k in ("U1", "U2"))
     if mode == "rational":  # each entry fits a float, its trace may not
         for k, U in (("U1", U1), ("U2", U2)):
-            _check_float_range(U[0] + U[3], f"{rec_id}: trace of {k}")
+            _check_float_range(U[0] + U[3], f"{where}: trace of {k}")
     return make_pair(make_sl2(*U1, cfg), make_sl2(*U2, cfg), cfg)
-
-
-def _record_mode(rec, args):
-    if args.mode is not None:
-        return args.mode
-    return rec.get("mode", "float")
 
 
 def _cfg(args) -> ToleranceConfig:
@@ -179,8 +216,8 @@ def _error_json(rec_id, exc):
     return {"id": rec_id, "error": code, "detail": str(exc)}, status
 
 
-def _classify_record(rec, args, cfg):
-    p = _pair(rec, rec["id"], _record_mode(rec, args), cfg)
+def _classify_record(rec, where, mode, cfg):
+    p = _pair(rec, where, mode, cfg)
     t1, t2 = spectral_types(p, cfg)
     return {
         "id": rec["id"],
@@ -190,8 +227,8 @@ def _classify_record(rec, args, cfg):
     }
 
 
-def _canon_record(rec, args, cfg):
-    p = _pair(rec, rec["id"], _record_mode(rec, args), cfg)
+def _canon_record(rec, where, mode, cfg):
+    p = _pair(rec, where, mode, cfg)
     result = canonicalize(p, cfg)
     c = result.trace.c
     out = {
@@ -224,10 +261,9 @@ def _canon_json(cp):
     return {"sector": cp.sector, "params": dict(sorted(cp.params.items()))}
 
 
-def _equiv_record(rec, args, cfg):
-    mode = _record_mode(rec, args)
+def _equiv_record(rec, where, mode, cfg):
     # both sides are validated before either is canonicalized
-    left, right = (_pair(rec[side], rec["id"], mode, cfg)
+    left, right = (_pair(rec[side], f"{where}, {side}", mode, cfg)
                    for side in ("left", "right"))
     cl, cr = canonicalize(left, cfg), canonicalize(right, cfg)
     return {
@@ -251,15 +287,16 @@ def _emit(lines, args):
            args)
 
 
-def _run_batch(args, schema, key, handler):
+def _run_batch(args, key, handler):
     cfg = _cfg(args)
-    doc = _read_document(args.input, schema)
-    _check_unique_ids(doc[key], args.input)
+    records = _read_document(args.input, key)
     lines = []
     saw_domain = saw_ambiguous = False
-    for rec in doc[key]:
+    for i, rec in enumerate(records):
+        where = _where(args.input, i, rec["id"])
+        mode = args.mode or rec.get("mode", "float")
         try:
-            lines.append(handler(rec, args, cfg))
+            lines.append(handler(rec, where, mode, cfg))
         except SL2TorusError as exc:
             obj, st = _error_json(rec["id"], exc)
             lines.append(obj)
@@ -273,18 +310,15 @@ def _run_batch(args, schema, key, handler):
 
 
 def cmd_classify(args):
-    return _run_batch(args, "pair_document.schema.json", "pairs",
-                      _classify_record)
+    return _run_batch(args, "pairs", _classify_record)
 
 
 def cmd_canon(args):
-    return _run_batch(args, "pair_document.schema.json", "pairs",
-                      _canon_record)
+    return _run_batch(args, "pairs", _canon_record)
 
 
 def cmd_equiv(args):
-    return _run_batch(args, "equiv_document.schema.json", "comparisons",
-                      _equiv_record)
+    return _run_batch(args, "comparisons", _equiv_record)
 
 
 def cmd_sample(args):

@@ -139,6 +139,14 @@ def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     return SL2Matrix(float(a), float(b), float(c), float(d))
 
 
+def binary_exponent(x: Fraction) -> int:
+    """e with 2**(e-1) < x < 2**(e+1), for x > 0.  Scaling by a power of
+    two is exact, for Fractions and for floats in the normal range, so it
+    changes no float result but brings tiny or huge Fractions into the
+    float range."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 def _normalize_direction(v):
     n = math.hypot(v[0], v[1])
     if n == 0.0:
@@ -163,6 +171,13 @@ def _parabolic_direction(U: SL2Matrix, eps: float):
     of the nilpotent part U - eps*I lies in its kernel."""
     c1 = (U.a - eps, U.c)
     c2 = (U.b, U.d - eps)
+    if is_exact(U):
+        # choose and scale exactly, so that a column far below the float
+        # range does not round to zero
+        m1, m2 = max(map(abs, c1)), max(map(abs, c2))
+        col, m = (c1, m1) if m1 >= m2 else (c2, m2)
+        s = Fraction(2) ** binary_exponent(m)
+        return _normalize_direction((col[0] / s, col[1] / s))
     col = c1 if math.hypot(*c1) >= math.hypot(*c2) else c2
     return _normalize_direction(col)
 

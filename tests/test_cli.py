@@ -1,7 +1,12 @@
+import copy
 import json
 import math
+from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2torus import SL2Matrix, conjugate, reconstruct, rotation
 from sl2torus.cli import (
@@ -9,6 +14,10 @@ from sl2torus.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
+    ParseFailure,
+    _check_entry,
+    _matrix,
+    _read_document,
     main,
 )
 
@@ -148,6 +157,157 @@ def test_parse_error_non_finite(tmp_path, capsys, U1, mode, message):
     assert main(["canon", inp]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "p0" in err and message in err
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda r: r["U2"][1].__setitem__(0, True), "U2: entry True"),
+    (lambda r: r["U1"].append([0, 1]), "U1: not a list of two rows"),
+    (lambda r: r.__setitem__("mode", "exact"), "mode is not"),
+    (lambda r: r.__setitem__("extra", 1), "keys"),
+    (lambda r: r.__setitem__("id", 7), "id is not a string"),
+], ids=["true-entry", "three-rows", "bad-mode", "extra-key", "int-id"])
+def test_parse_error_names_record(tmp_path, capsys, mutate, message):
+    doc = copy.deepcopy(pair_doc((DIAG, DIAG2), (IDENT, JORDAN)))
+    mutate(doc["pairs"][1])
+    inp = write_doc(tmp_path, doc)
+    assert main(["canon", inp]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "record 1" in err and message in err
+
+
+# --- the reader against the schemas it enforces ---------------------------
+
+SCHEMAS = {"pairs": "pair_document.schema.json",
+           "comparisons": "equiv_document.schema.json"}
+
+# the reader looks at types and lengths only, so a few values of each
+# kind will do
+_entries = st.sampled_from((0, -3, 10**400, 0.5, -1e300, 5e-324, [1, 2],
+                            [-3, 0], [10**400, 7]))
+_matrices = st.lists(st.lists(_entries, min_size=2, max_size=2),
+                     min_size=2, max_size=2)
+_sides = st.fixed_dictionaries({"U1": _matrices, "U2": _matrices})
+_bodies = {"pairs": _sides,
+           "comparisons": st.fixed_dictionaries({"left": _sides,
+                                                 "right": _sides})}
+# stand-ins for any node: bools, null, strings, a float inside a ratio
+# (2.0 passes as a draft-07 integer, 1.5 does not), non-finite numbers,
+# numbers where a string or list belongs, and containers of the wrong kind
+_REPLACEMENTS = (True, None, "x", "float", 2.0, 1.5, math.nan, math.inf, 7,
+                 [], [1, 2], [1, 2, 3], {})
+
+
+@st.composite
+def documents(draw, key):
+    """A valid document of the kind `key` with one record, sharing no
+    list between two places."""
+    rec = {"id": "r0", **draw(_bodies[key])}
+    mode = draw(st.sampled_from((None, "float", "rational")))
+    if mode is not None:
+        rec["mode"] = mode
+    return json.loads(json.dumps({key: [rec]}))
+
+
+def mutations(doc):
+    """The document and every document one step from it: a key dropped or
+    added, a list grown or shrunk, or any one node replaced."""
+    yield doc
+    paths = [((), doc)]
+    for path, node in paths:
+        items = node.items() if type(node) is dict else \
+            enumerate(node) if type(node) is list else ()
+        paths.extend((path + (k,), v) for k, v in items)
+    for path, node in paths:
+        edits = [lambda n, v=v: v for v in _REPLACEMENTS] if path else []
+        if type(node) is dict:
+            edits += [lambda n, k=k: {j: v for j, v in n.items() if j != k}
+                      for k in node]
+            edits += [lambda n, k=k: {**n, k: "float"}
+                      for k in ("extra", "mode")]
+        if type(node) is list:
+            # a grown record gets a new id: duplicate ids are no schema
+            # matter
+            edits += [lambda n: n[:-1], lambda n: n + [
+                {**n[-1], "id": "copy"} if type(n[-1]) is dict
+                and "id" in n[-1] else n[-1]] if n else [0]]
+        for edit in edits:
+            mutant = copy.deepcopy(doc)
+            if not path:
+                yield edit(mutant)
+                continue
+            parent = mutant
+            for k in path[:-1]:
+                parent = parent[k]
+            parent[path[-1]] = edit(parent[path[-1]])
+            yield mutant
+
+
+def reader_accepts(path, key):
+    """Whether the CLI's reader passes the document's shape: the record
+    checks of _read_document and the matrix checks that _pair applies."""
+    try:
+        for rec in _read_document(path, key):
+            for side in (rec,) if key == "pairs" else (rec["left"],
+                                                       rec["right"]):
+                for k in ("U1", "U2"):
+                    _matrix(side[k], _check_entry, k)
+    except ParseFailure:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "doc.json"
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMAS))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_reader_accepts_what_the_schema_accepts(doc_path, key, data):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(json.loads(
+        resources.files("sl2torus.schemas").joinpath(SCHEMAS[key])
+        .read_text()))
+    for doc in mutations(data.draw(documents(key))):
+        doc_path.write_text(json.dumps(doc))
+        valid = validator.is_valid(json.loads(doc_path.read_text()))
+        assert reader_accepts(str(doc_path), key) == valid, doc
+
+
+# An exact parabolic part far below the float range: 10^-400 rounds to 0.0.
+TINY_C = [[1, [1, 10**400]], [0, 1]]
+
+
+def test_classify_rational_below_float_range(tmp_path):
+    inp = write_doc(tmp_path, pair_doc((TINY_C, IDENT)))
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    rec = read_lines(out)[0]
+    assert rec["type1"] == {"tag": "C", "eps": 1}
+    assert rec["type2"] == {"tag": "B", "eps": 1}
+
+
+@pytest.mark.parametrize("U2,sector,params", [
+    (IDENT, "CB", {"eps1": 1, "eps2": 1, "eps3": 1}),
+    ([[1, [2, 10**400]], [0, 1]], "CC",
+     {"eps1": 1, "eps2": 1, "alpha": math.atan(2)}),
+], ids=["CB", "CC"])
+def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
+    inp = write_doc(tmp_path, pair_doc((TINY_C, U2)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    rec = read_lines(out)[0]
+    assert (rec["sector"], rec["params"]) == (sector, pytest.approx(params))
+    # the witness, about diag(10^-200, 10^200), checked exactly
+    W = SL2Matrix(*(Fraction(x) for row in rec["witness"] for x in row))
+    target = reconstruct(sector, rec["params"])
+    for U, T in ((TINY_C, target.U1), (U2, target.U2)):
+        U = SL2Matrix(*(Fraction(*x) if type(x) is list else Fraction(x)
+                        for row in U for x in row))
+        assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
 def test_internal_validation_error_code(tmp_path):

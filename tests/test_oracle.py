@@ -148,15 +148,39 @@ def test_search_rejects_det_minus_one_twins(sector, params, twin_params):
             pytest.approx(report.residual, rel=1e-9, abs=1e-15)
 
 
-def test_import_does_not_load_scipy():
+def fresh_python(code):
+    """Standard output of `code` run by a new interpreter."""
     src = str(Path(sl2torus.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import sys, sl2torus; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, sl2torus; print('scipy' in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("module", ["sl2torus", "sl2torus.cli"])
+def test_import_does_not_load_numpy_or_jsonschema(module):
+    code = (f"import sys, {module}; "
+            "print([m for m in ('numpy', 'jsonschema') if m in sys.modules])")
+    assert fresh_python(code) == "[]"
+
+
+def test_oracle_names_load_the_oracle_on_first_use():
+    code = ("import sys, sl2torus; "
+            "print('sl2torus.oracle' in sys.modules); "
+            "print(sl2torus.search_conjugator.__module__); "
+            "print('sl2torus.oracle' in sys.modules); "
+            "from sl2torus import ConjugatorSearchReport, exact_classify; "
+            "print(ConjugatorSearchReport.__module__, "
+            "exact_classify.__module__)")
+    assert fresh_python(code).splitlines() == [
+        "False", "sl2torus.oracle", "True", "sl2torus.oracle sl2torus.oracle"]
 
 
 def test_search_accepts_exact_pairs():

@@ -92,6 +92,13 @@ def test_classify_jordan_block():
     assert (st_.tag, st_.eps) == ("C", 1)
 
 
+def test_classify_exact_jordan_below_float_range():
+    # 10^-400 rounds to 0.0 as a float, so the direction is found exactly
+    F = Fraction
+    st_ = classify(make_sl2(F(1), F(1, 10**400), F(0), F(1)), CFG)
+    assert (st_.tag, st_.eps, st_.directions) == ("C", 1, ((1.0, 0.0),))
+
+
 def test_classify_rotation():
     st_ = classify(rotation(math.pi / 3), CFG)
     assert st_.tag == "D"
