@@ -6,7 +6,7 @@ parameters, and the equivalence decision."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
@@ -20,6 +20,7 @@ from .sl2 import (
     binary_exponent,
     conjugate,
     is_exact,
+    nilpotent_column,
     rotation,
 )
 
@@ -198,102 +199,76 @@ def canon_AA(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     )
 
 
-def canon_scalar_partner(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-                         cfg: ToleranceConfig) -> CanonicalPair:
-    """Combos AB, BA, BB: the scalar side is conjugation-invariant."""
-    if t1.tag == "B" and t2.tag == "B":
-        return CanonicalPair(
-            "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
-            CanonTrace(branch_notes=("BB trivial",)),
-        )
-    if t2.tag == "B":  # (A, B)
-        v, w = t1.directions
-        S = _sl2_from_basis(v, w)
-        lam = conjugate(p.U1, S).a
-        return CanonicalPair(
-            "AB", {"lam": lam, "eps2": t2.eps}, S,
-            CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, ("AB",)),
-        )
-    # (B, A)
-    v, w = t2.directions
+def canon_AB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
+    v, w = t1.directions
     S = _sl2_from_basis(v, w)
-    mu = conjugate(p.U2, S).a
     return CanonicalPair(
-        "BA", {"eps1": t1.eps, "mu": mu}, S,
-        CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, ("BA",)),
+        "AB", {"lam": conjugate(p.U1, S).a, "eps2": t2.eps}, S,
+        CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, ("AB",)),
     )
+
+
+def canon_BB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
+    return CanonicalPair(
+        "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
+        CanonTrace(branch_notes=("BB trivial",)),
+    )
+
+
+def _unit_basis(v, w):
+    """Column matrix of v and w scaled to determinant 1, with v negated
+    when det(v, w) < 0, and the sign of det(v, w)."""
+    d = _det2(v, w)
+    sgn = 1 if d > 0 else -1
+    if sgn < 0:
+        v, d = (-v[0], -v[1]), -d
+    r = 1.0 / math.sqrt(d)
+    return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
 
 
 def _parabolic_basis(U: SL2Matrix, eps):
     """Columns v1, w with U v1 = eps v1 and U w = v1 + eps w."""
-    na, nb = U.a - eps, U.b
-    nc, nd = U.c, U.d - eps
-    # pick the standard basis vector whose image under the nilpotent part
-    # is larger; this yields the identity witness on canonical input
+    # w is a standard basis vector, which yields the identity witness on
+    # canonical input
+    v1, w = nilpotent_column(U, eps)
     if not is_exact(U):
-        if math.hypot(nb, nd) >= math.hypot(na, nc):
-            return (nb, nd), (0, 1)
-        return (na, nc), (1, 0)
-    # exactly, and scaled by a power of two to determinant near 1, so that
-    # a nilpotent part far below the float range keeps its witness
-    if max(abs(nb), abs(nd)) >= max(abs(na), abs(nc)):
-        v1, w = (nb, nd), (0, 1)
-    else:
-        v1, w = (na, nc), (1, 0)
+        return v1, w
+    # scaled by a power of two to determinant near 1, so that a nilpotent
+    # part far below the float range keeps its witness
     s = Fraction(2) ** (binary_exponent(abs(_det2(v1, w))) // 2)
     return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
 
 
-def canon_BC_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-                cfg: ToleranceConfig) -> CanonicalPair:
-    bc = t1.tag == "B"  # else CB
-    Uc = p.U2 if bc else p.U1
-    eps_c = (t2 if bc else t1).eps
-    v1, w = _parabolic_basis(Uc, eps_c)
-    d = _det2(v1, w)
-    sgn = 1 if d > 0 else -1
-    if sgn > 0:
-        r = 1.0 / math.sqrt(d)
-        S = _columns((v1[0] * r, v1[1] * r), (w[0] * r, w[1] * r))
-        off = 1
-    else:
-        r = 1.0 / math.sqrt(-d)
-        # repair with diag(-1, 1); the off-diagonal sign flips and the two
-        # signs are not related by any unit-determinant conjugation
-        S = _columns((-v1[0] * r, -v1[1] * r), (w[0] * r, w[1] * r))
-        off = -1
-    trace = CanonTrace((v1,), None, sgn, ("BC" if bc else "CB",))
-    if bc:
-        params = {"eps1": t1.eps, "eps2": eps_c, "eps4": off}
-        return CanonicalPair("BC", params, S, trace)
-    params = {"eps1": eps_c, "eps2": t2.eps, "eps3": off}
-    return CanonicalPair("CB", params, S, trace)
-
-
-def _elliptic_eigenvector(U: SL2Matrix):
-    """Complex eigenvector for the eigenvalue with positive imaginary part."""
-    t = max(-1.0, min(1.0, U.trace() / 2.0))
-    ev = complex(t, math.sqrt(max(0.0, 1.0 - t * t)))
-    r1 = (complex(U.b), ev - U.a)
-    r2 = (ev - U.d, complex(U.c))
-    u = r1 if abs(U.b) >= abs(U.c) else r2
-    return u, ev
+def canon_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
+    v1, w = _parabolic_basis(p.U1, t1.eps)
+    # a negative basis is repaired with diag(-1, 1); the off-diagonal sign
+    # flips and the two signs are not related by any unit-determinant
+    # conjugation
+    S, sgn = _unit_basis(v1, w)
+    return CanonicalPair(
+        "CB", {"eps1": t1.eps, "eps2": t2.eps, "eps3": sgn}, S,
+        CanonTrace((v1,), None, sgn, ("CB",)),
+    )
 
 
 def _real_rotation_basis(U: SL2Matrix):
-    """Real basis turning an elliptic matrix into rotation form, plus the
-    sign of the raw basis determinant before the orientation repair."""
-    u, _ = _elliptic_eigenvector(U)
-    v1 = (2.0 * u[0].real, 2.0 * u[1].real)
-    v2 = (2.0 * u[0].imag, 2.0 * u[1].imag)
-    d = _det2(v1, v2)
-    sgn = 1 if d > 0 else -1
-    if sgn < 0:
-        # flipping the first basis vector applies angle -> 2*pi - angle
-        v1 = (-v1[0], -v1[1])
-        d = -d
-    r = 1.0 / math.sqrt(d)
-    S = _columns((v1[0] * r, v1[1] * r), (v2[0] * r, v2[1] * r))
+    """Real basis turning an elliptic matrix into rotation form, the sign of
+    the raw basis determinant before the orientation repair, and the complex
+    eigenvector u, for the eigenvalue with positive imaginary part, that the
+    basis is taken from."""
+    t = max(-1.0, min(1.0, U.trace() / 2.0))
+    ev = complex(t, math.sqrt(max(0.0, 1.0 - t * t)))
+    if ev.imag == 0:  # an exact trace that rounds to +-2
+        raise ParamOutOfRange(f"cos(theta) rounds to {t!r}, no rotation basis")
+    r1 = (complex(U.b), ev - U.a)
+    r2 = (ev - U.d, complex(U.c))
+    u = r1 if abs(U.b) >= abs(U.c) else r2
+    # flipping the first basis vector applies angle -> 2*pi - angle
+    S, sgn = _unit_basis((2.0 * u[0].real, 2.0 * u[1].real),
+                         (2.0 * u[0].imag, 2.0 * u[1].imag))
     return S, sgn, u
 
 
@@ -302,16 +277,14 @@ def _rotation_angle(C: SL2Matrix) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def canon_BD_DB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-                cfg: ToleranceConfig) -> CanonicalPair:
-    bd = t1.tag == "B"  # else DB
-    Ud = p.U2 if bd else p.U1
-    S, sgn, u = _real_rotation_basis(Ud)
-    ang = _rotation_angle(conjugate(Ud, S))
-    trace = CanonTrace((), None, sgn, ("BD" if bd else "DB",))
-    if bd:
-        return CanonicalPair("BD", {"eps1": t1.eps, "phi": ang}, S, trace)
-    return CanonicalPair("DB", {"theta": ang, "eps2": t2.eps}, S, trace)
+def canon_DB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig) -> CanonicalPair:
+    S, sgn, _ = _real_rotation_basis(p.U1)
+    theta = _rotation_angle(conjugate(p.U1, S))
+    return CanonicalPair(
+        "DB", {"theta": theta, "eps2": t2.eps}, S,
+        CanonTrace((), None, sgn, ("DB",)),
+    )
 
 
 def canon_DD(p: CommutingPair, t1: SpectralType, t2: SpectralType,
@@ -357,10 +330,8 @@ def canon_CC(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     else:
         alpha = base + math.pi
     cos_a = math.cos(alpha)
-    v1t = (v1[0] / cos_a, v1[1] / cos_a)
-    dt = _det2(v1t, w)  # = d / cos(alpha) > 0
-    r = 1.0 / math.sqrt(dt)
-    S = _columns((v1t[0] * r, v1t[1] * r), (w[0] * r, w[1] * r))
+    # det(v1 / cos(alpha), w) = d / cos(alpha) > 0
+    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
     return CanonicalPair(
         "CC",
         {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha},
@@ -371,23 +342,34 @@ def canon_CC(p: CommutingPair, t1: SpectralType, t2: SpectralType,
 
 _DISPATCH = {
     ("A", "A"): canon_AA,
-    ("A", "B"): canon_scalar_partner,
-    ("B", "A"): canon_scalar_partner,
-    ("B", "B"): canon_scalar_partner,
-    ("B", "C"): canon_BC_CB,
-    ("C", "B"): canon_BC_CB,
-    ("B", "D"): canon_BD_DB,
-    ("D", "B"): canon_BD_DB,
+    ("A", "B"): canon_AB,
+    ("B", "B"): canon_BB,
+    ("C", "B"): canon_CB,
+    ("D", "B"): canon_DB,
     ("C", "C"): canon_CC,
     ("D", "D"): canon_DD,
 }
+
+# BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
+# conjugation commutes with the exchange, so one witness serves both
+_MIRROR = {"AB": "BA", "CB": "BC", "DB": "BD"}
+_MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
+                 "lam": "mu", "theta": "phi"}
 
 
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
     """Sector, parameters and witness of p.  Each matrix is classified once;
     the sector handler receives the two spectral types."""
     t1, t2 = spectral_types(p, cfg)
-    result = _DISPATCH[t1.tag, t2.tag](p, t1, t2, cfg)
+    if t1.tag == "B" and t2.tag != "B":
+        r = _DISPATCH[t2.tag, "B"](CommutingPair(p.U2, p.U1), t2, t1, cfg)
+        sector = _MIRROR[r.sector]
+        result = CanonicalPair(
+            sector, {_MIRROR_PARAM[k]: v for k, v in r.params.items()},
+            r.witness, replace(r.trace, branch_notes=(sector,)),
+        )
+    else:
+        result = _DISPATCH[t1.tag, t2.tag](p, t1, t2, cfg)
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)

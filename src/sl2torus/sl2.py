@@ -20,6 +20,7 @@ from .errors import (
     ClassificationAmbiguous,
     DeterminantError,
     NoRealEigenvalues,
+    ParamOutOfRange,
 )
 
 # Scalar-deviation band: below class_tol we call a near-scalar matrix B,
@@ -166,19 +167,28 @@ def _real_eigendirection(U: SL2Matrix, lam: float):
     return _normalize_direction((row[1], -row[0]))
 
 
-def _parabolic_direction(U: SL2Matrix, eps: float):
-    """Eigendirection of a non-scalar parabolic matrix: any nonzero column
-    of the nilpotent part U - eps*I lies in its kernel."""
+def nilpotent_column(U: SL2Matrix, eps):
+    """The larger column of the nilpotent part N = U - eps*I of a non-scalar
+    parabolic matrix, which spans the kernel of N, and the standard basis
+    vector e with N e equal to it.  Exact columns are compared by their
+    largest entry, so that one far below the float range is not rounded to
+    zero."""
     c1 = (U.a - eps, U.c)
     c2 = (U.b, U.d - eps)
     if is_exact(U):
-        # choose and scale exactly, so that a column far below the float
-        # range does not round to zero
-        m1, m2 = max(map(abs, c1)), max(map(abs, c2))
-        col, m = (c1, m1) if m1 >= m2 else (c2, m2)
-        s = Fraction(2) ** binary_exponent(m)
-        return _normalize_direction((col[0] / s, col[1] / s))
-    col = c1 if math.hypot(*c1) >= math.hypot(*c2) else c2
+        second = max(map(abs, c2)) >= max(map(abs, c1))
+    else:
+        second = math.hypot(*c2) >= math.hypot(*c1)
+    return (c2, (0, 1)) if second else (c1, (1, 0))
+
+
+def _parabolic_direction(U: SL2Matrix, eps: float):
+    """Eigendirection of a non-scalar parabolic matrix."""
+    col, _ = nilpotent_column(U, eps)
+    if is_exact(U):
+        # scaled exactly into the float range before normalizing
+        s = Fraction(2) ** binary_exponent(max(map(abs, col)))
+        col = (col[0] / s, col[1] / s)
     return _normalize_direction(col)
 
 
@@ -189,9 +199,6 @@ class SpectralType:
     eps: int | None = None         # B, C: +-1
     theta: float | None = None     # D: angle in (0,pi) u (pi,2pi)
     directions: tuple = field(default=())  # A: two (small-|ev| first); C: one
-
-    def continuous_datum(self):
-        return self.lam if self.tag == "A" else self.theta
 
 
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
@@ -208,6 +215,8 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         disc = math.sqrt(s - 2) * math.sqrt(s + 2)
         lam_inv = math.copysign((s + disc) / 2.0, t)
         lam = 1.0 / lam_inv                # the member with |lam| < 1
+        if not 0 < abs(lam) < 1:  # exact |t| within float resolution of 2
+            raise ParamOutOfRange(f"lam = {lam!r} rounds to a boundary")
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
         return SpectralType("A", lam=lam, directions=(v_small, v_big))
@@ -225,8 +234,15 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         )
     # elliptic
     theta = math.acos(max(-1.0, min(1.0, t / 2.0)))
+    if not 0 < theta < math.pi:
+        # an exact |t| within float resolution of 2: the angle's distance
+        # from 0 or pi, from the exact 2 - |t|
+        off = 2.0 * math.asin(math.sqrt((2 - abs(t)) / 4))
+        theta = off if t > 0 else math.pi - off
     if U.c - U.b < 0:
         theta = 2.0 * math.pi - theta
+    if theta in (0.0, math.pi, 2.0 * math.pi):
+        raise ParamOutOfRange(f"theta = {theta!r} rounds to a boundary")
     return SpectralType("D", theta=theta)
 
 

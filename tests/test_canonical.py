@@ -20,7 +20,7 @@ from sl2torus import (
     rotation,
     sl2_from_coords,
 )
-from sl2torus.atlas import random_sl2, sample_params
+from sl2torus.atlas import random_sl2, sample_params, sample_sector
 from sl2torus.canonical import SECTOR_CONTINUOUS, SECTORS
 
 CFG = ToleranceConfig()
@@ -343,6 +343,28 @@ def test_equivalence_relation(seed):
     assert equivalent(a, a, CFG)
     assert equivalent(a, b, CFG) == equivalent(b, a, CFG) is True
     assert equivalent(a, c, CFG) and equivalent(b, c, CFG)
+
+
+# each sector with a scalar U2, its mirror with U1 and U2 exchanged, and
+# where each parameter of the sector goes in the mirror
+MIRRORS = {
+    "AB": ("BA", {"lam": "mu", "eps2": "eps1"}),
+    "CB": ("BC", {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4"}),
+    "DB": ("BD", {"theta": "phi", "eps2": "eps1"}),
+}
+
+
+@given(st.sampled_from(sorted(MIRRORS)), seed_st)
+@settings(max_examples=40, deadline=None)
+def test_mirror_sectors_are_the_swapped_pair(sector, seed):
+    mirror, rename = MIRRORS[sector]
+    p = sample_sector(sector, seed, conjugate=True)
+    c = canonicalize(make_pair(p.U1, p.U2, CFG), CFG)
+    m = canonicalize(make_pair(p.U2, p.U1, CFG), CFG)
+    assert (c.sector, m.sector) == (sector, mirror)
+    assert m.params == {rename[k]: v for k, v in c.params.items()}
+    assert m.witness == c.witness
+    assert m.trace.branch_notes == (mirror,)
 
 
 # --- equivalence: positive and negative -----------------------------------

@@ -310,6 +310,51 @@ def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
+def rational_rotation(n, sign):
+    """The exact rotation with tan(angle / 2) = sign / n."""
+    q = n * n + 1
+    return [[[n * n - 1, q], [-sign * 2 * n, q]],
+            [[sign * 2 * n, q], [n * n - 1, q]]]
+
+
+BIG = 10**20
+
+
+@pytest.mark.parametrize("command,U1,detail", [
+    # the eigenvalue BIG / (BIG + 1) rounds to 1.0
+    ("classify", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], "lam = 1.0"),
+    ("canon", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], "lam = 1.0"),
+    # 2 pi - 2e-20 rounds to 2 pi
+    ("classify", rational_rotation(BIG, -1), "theta = 6.28"),
+    ("canon", rational_rotation(BIG, -1), "theta = 6.28"),
+    # 2e-9 is a float, but its cosine rounds to 1.0, which leaves the float
+    # construction no rotation basis
+    ("canon", rational_rotation(10**9, 1), "cos(theta) rounds to 1.0"),
+], ids=["classify-lam", "canon-lam", "classify-theta", "canon-theta",
+        "canon-cos"])
+def test_rational_rounding_to_boundary_is_out_of_range(tmp_path, capsys,
+                                                       command, U1, detail):
+    inp = write_doc(tmp_path, pair_doc((U1, IDENT), (JORDAN, IDENT)))
+    out = tmp_path / "out.jsonl"
+    assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_DOMAIN
+    bad, good = read_lines(out)
+    assert bad["error"] == "PARAM_OUT_OF_RANGE"
+    assert bad["detail"].startswith(detail)
+    assert "error" not in good
+    assert capsys.readouterr().err == ""
+
+
+def test_classify_rational_angle_below_cosine_resolution(tmp_path):
+    # the float cosine of the angle 2e-9 rounds to 1.0
+    inp = write_doc(tmp_path, pair_doc((rational_rotation(10**9, 1), IDENT)))
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    rec = read_lines(out)[0]
+    assert rec["type1"] == {"tag": "D", "theta": pytest.approx(2e-9)}
+
+
 def test_internal_validation_error_code(tmp_path):
     # the commutator (8.4e-10) passes comm_tol, but no witness reproduces
     # the canonical DD form within tolerance

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sl2torus import (
     ClassificationAmbiguous,
     DeterminantError,
     NoRealEigenvalues,
+    ParamOutOfRange,
     SL2Matrix,
     ToleranceConfig,
     classify,
@@ -216,6 +218,33 @@ def test_elliptic_theta_never_boundary():
     for ang in (0.3, 1.5, 2.9, 3.5, 5.0, 6.0):
         th = classify(rotation(ang), CFG).theta
         assert 0 < th < 2 * math.pi and not math.isclose(th, math.pi)
+
+
+def exact_rotation(n, sign):
+    """The exact rotation with tan(angle / 2) = sign / n."""
+    co, si = Fraction(n * n - 1, n * n + 1), Fraction(sign * 2 * n, n * n + 1)
+    return make_sl2(co, -si, si, co)
+
+
+def test_classify_exact_angle_below_cosine_resolution():
+    # cos(2e-9) rounds to 1.0; the angle comes from the exact 2 - tr
+    assert classify(exact_rotation(10**9, 1), CFG).theta == \
+        pytest.approx(2e-9, rel=1e-12)
+    assert classify(exact_rotation(10**9, -1), CFG).theta == \
+        pytest.approx(2 * math.pi - 2e-9, rel=1e-15)
+
+
+def test_classify_exact_rounding_to_boundary_raises():
+    F = Fraction
+    N = 10**20
+    # the eigenvalue N / (N + 1) rounds to 1.0
+    with pytest.raises(ParamOutOfRange, match="lam = 1.0"):
+        classify(make_sl2(F(N + 1, N), F(0), F(0), F(N, N + 1)), CFG)
+    # 2 pi - 2 / N rounds to 2 pi, and pi - 2 / N to pi
+    with pytest.raises(ParamOutOfRange, match="theta = 6.28"):
+        classify(exact_rotation(N, -1), CFG)
+    with pytest.raises(ParamOutOfRange, match="theta = 3.14"):
+        classify(make_sl2(*(-x for x in astuple(exact_rotation(N, 1)))), CFG)
 
 
 def test_tolerance_config_rejects_nonpositive():
