@@ -125,7 +125,7 @@ def depiction_component(c: CanonicalPair) -> str:
     return _component(c.sector, c.params)
 
 
-def _cells(sector: str):
+def cells(sector: str):
     """One parameter point inside every depiction cell of sector: each
     discrete parameter at one sign, each continuous one at the midpoint of
     one of its components."""
@@ -137,7 +137,7 @@ def _cells(sector: str):
 
 def component_labels():
     """All depiction components, keyed by sector."""
-    return {s: [_component(s, p) for p in _cells(s)] for s in SECTORS}
+    return {s: [_component(s, p) for p in cells(s)] for s in SECTORS}
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def incidence() -> CellIncidence:
     limit pair, or "(open)" where the canonical matrices diverge."""
     ent = []
     for sector in SECTORS:
-        for point in _cells(sector):
+        for point in cells(sector):
             cell = _component(sector, point)
             for name in SECTOR_CONTINUOUS[sector]:
                 k = component_index(name, point[name])
@@ -195,58 +195,53 @@ def _torus_point(theta: float, phi: float):
     )
 
 
-def _anchor(e1: int, e2: int):
-    return _torus_point(0.0 if e1 > 0 else PI, 0.0 if e2 > 0 else PI)
-
-
 def _sheet_point(lam: float, mu: float, side: float):
-    # bilinear map whose corners coincide with the four BB anchors
+    # bilinear map whose corners coincide with the four BB torus corners
     x = mu * (K.TORUS_MAJOR + K.TORUS_MINOR * lam)
     y = side * K.SHEET_BUMP * (1.0 - abs(lam)) * (1.0 - abs(mu))
     z = K.Z_TWIST * lam * mu
     return (x, y, z)
 
 
-def _circle_point(e1: int, e2: int, alpha: float):
-    ax, ay, az = _anchor(e1, e2)
+def _circle_point(centre, alpha: float):
+    cx, cy, cz = centre
     return (
-        ax + K.CIRCLE_RADIUS * math.cos(alpha),
-        ay + K.CIRCLE_OFFSET,
-        az + K.CIRCLE_RADIUS * math.sin(alpha),
+        cx + K.CIRCLE_RADIUS * math.cos(alpha),
+        cy + K.CIRCLE_OFFSET,
+        cz + K.CIRCLE_RADIUS * math.sin(alpha),
     )
 
 
+# per family, the axis end that each sign stands for at +1 and at -1: a
+# scalar's sign ends lam or mu, or theta or phi (on a circle: its centre),
+# and the shear sign of a scalar's parabolic partner ends alpha
+_ENDS = {
+    "A": {"eps1": ("lam", 1.0, -1.0), "eps2": ("mu", 1.0, -1.0)},
+    "D": {"eps1": ("theta", 0.0, PI), "eps2": ("phi", 0.0, PI)},
+    "C": {"eps1": ("theta", 0.0, PI), "eps2": ("phi", 0.0, PI),
+          "eps3": ("alpha", 0.0, PI), "eps4": ("alpha", PI / 2, 3 * PI / 2)},
+}
+_SHEET_SIDE = {"AA1": 1.0, "AA2": -1.0}  # the edges lie between the sheets
+
+
 def embed(c: CanonicalPair) -> EmbeddedPoint:
+    """Place c on the map of its family, picked by the tag of its
+    non-scalar matrix: A on the sheet, C on a circle, D on the torus, and
+    BB, with no such matrix, at a corner of the torus."""
     check_params(c.sector, c.params)
-    p = c.params
-    s = c.sector
-    if s == "BB":
-        xyz = _anchor(p["eps1"], p["eps2"])
-    elif s == "DD":
-        xyz = _torus_point(p["theta"], p["phi"])
-    elif s == "BD":
-        xyz = _torus_point(0.0 if p["eps1"] > 0 else PI, p["phi"])
-    elif s == "DB":
-        xyz = _torus_point(p["theta"], 0.0 if p["eps2"] > 0 else PI)
-    elif s == "AA1":
-        xyz = _sheet_point(p["lam"], p["mu"], 1.0)
-    elif s == "AA2":
-        xyz = _sheet_point(p["lam"], p["mu"], -1.0)
-    elif s == "AB":
-        xyz = _sheet_point(p["lam"], float(p["eps2"]), 0.0)
-    elif s == "BA":
-        xyz = _sheet_point(float(p["eps1"]), p["mu"], 0.0)
-    elif s == "CC":
-        xyz = _circle_point(p["eps1"], p["eps2"], p["alpha"])
-    elif s == "BC":
-        xyz = _circle_point(p["eps1"], p["eps2"],
-                            PI / 2 if p["eps4"] > 0 else 3 * PI / 2)
-    elif s == "CB":
-        xyz = _circle_point(p["eps1"], p["eps2"],
-                            0.0 if p["eps3"] > 0 else PI)
+    family = next((t for t in c.sector[:2] if t != "B"), "D")
+    at = dict(c.params)
+    for eps in SECTOR_DISCRETE[c.sector]:
+        axis, plus, minus = _ENDS[family][eps]
+        at[axis] = plus if c.params[eps] > 0 else minus
+    if family == "A":
+        xyz = _sheet_point(at["lam"], at["mu"],
+                           _SHEET_SIDE.get(c.sector, 0.0))
     else:
-        raise ParamOutOfRange(s)
-    return EmbeddedPoint(*xyz, sector=s, params=dict(p))
+        xyz = _torus_point(at["theta"], at["phi"])
+        if family == "C":
+            xyz = _circle_point(xyz, at["alpha"])
+    return EmbeddedPoint(*xyz, sector=c.sector, params=dict(c.params))
 
 
 # ---------------------------------------------------------------------------

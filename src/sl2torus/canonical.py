@@ -80,7 +80,6 @@ class CanonTrace:
     ``c`` is the CC coupling scalar, tan(alpha) = c; on an exact pair (all
     entries Fractions) it is computed exactly and is a Fraction."""
 
-    joint_eigendirections: tuple = ()
     c: float | None = None
     det_sprime_sign: int | None = None  # sign of det S' before repair
     branch_notes: tuple = ()
@@ -195,7 +194,7 @@ def canon_AA(p: CommutingPair, t1: SpectralType, t2: SpectralType,
         sector,
         {"lam": conjugate(p.U1, S).a, "mu": C2.a if sector == "AA1" else C2.d},
         S,
-        CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, (sector,)),
+        CanonTrace(None, 1 if _det2(v, w) > 0 else -1, (sector,)),
     )
 
 
@@ -205,7 +204,7 @@ def canon_AB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     S = _sl2_from_basis(v, w)
     return CanonicalPair(
         "AB", {"lam": conjugate(p.U1, S).a, "eps2": t2.eps}, S,
-        CanonTrace((v, w), None, 1 if _det2(v, w) > 0 else -1, ("AB",)),
+        CanonTrace(None, 1 if _det2(v, w) > 0 else -1, ("AB",)),
     )
 
 
@@ -250,7 +249,7 @@ def canon_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     S, sgn = _unit_basis(v1, w)
     return CanonicalPair(
         "CB", {"eps1": t1.eps, "eps2": t2.eps, "eps3": sgn}, S,
-        CanonTrace((v1,), None, sgn, ("CB",)),
+        CanonTrace(None, sgn, ("CB",)),
     )
 
 
@@ -283,7 +282,7 @@ def canon_DB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     theta = _rotation_angle(conjugate(p.U1, S))
     return CanonicalPair(
         "DB", {"theta": theta, "eps2": t2.eps}, S,
-        CanonTrace((), None, sgn, ("DB",)),
+        CanonTrace(None, sgn, ("DB",)),
     )
 
 
@@ -306,7 +305,7 @@ def canon_DD(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     phi = _rotation_angle(conjugate(p.U2, S))
     return CanonicalPair(
         "DD", {"theta": theta, "phi": phi}, S,
-        CanonTrace((), None, sgn, ("DD",)),
+        CanonTrace(None, sgn, ("DD",)),
     )
 
 
@@ -336,7 +335,7 @@ def canon_CC(p: CommutingPair, t1: SpectralType, t2: SpectralType,
         "CC",
         {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha},
         S,
-        CanonTrace((v1,), c, sgn, ("CC",)),
+        CanonTrace(c, sgn, ("CC",)),
     )
 
 

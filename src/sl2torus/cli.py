@@ -17,14 +17,11 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
 
-from .atlas import sample_params, random_sl2
+from .atlas import cells, random_sl2, sample_params
 from .canonical import (
     SECTOR_CONTINUOUS,
-    SECTOR_DISCRETE,
     SECTORS,
-    SIGNS,
     apply_conjugation,
     canonicalize,
     reconstruct,
@@ -50,7 +47,7 @@ EXIT_AMBIGUOUS = 4
 
 
 class ParseFailure(Exception):
-    pass
+    """An unusable input or output: its message goes to stderr, exit 2."""
 
 
 # _read_document and _pair enforce exactly the schemas in sl2torus/schemas,
@@ -274,10 +271,17 @@ def _equiv_record(rec, where, mode, cfg):
     }
 
 
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}")
+
+
 def _write(text, args):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -328,11 +332,8 @@ def cmd_sample(args):
         return EXIT_PARSE
     rng = random.Random(args.seed)
     records = []
-    finite = not SECTOR_CONTINUOUS[args.sector]
-    if finite:
-        keys = SECTOR_DISCRETE[args.sector]
-        combos = list(product(SIGNS, repeat=len(keys)))
-        choices = [dict(zip(keys, combo)) for combo in combos]
+    if not SECTOR_CONTINUOUS[args.sector]:  # finite: cycle through its cells
+        choices = cells(args.sector)
         param_list = [choices[i % len(choices)] for i in range(args.count)]
     else:
         param_list = [sample_params(args.sector, rng)
@@ -357,11 +358,22 @@ def cmd_plot(args):
     base = args.out or args.figure
     if base.endswith(".svg") or base.endswith(".csv"):
         base = base[:-4]
-    with open(base + ".csv", "w") as fh:
-        fh.write(rows_to_csv(rows))
-    with open(base + ".svg", "w") as fh:
-        fh.write(rows_to_svg(rows))
+    _write_file(base + ".csv", rows_to_csv(rows))
+    _write_file(base + ".svg", rows_to_svg(rows))
     return EXIT_OK
+
+
+def _int_at_least(lo):
+    """argparse type: an integer not below lo."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{n} is below {lo}")
+        return n
+    return parse
 
 
 def build_parser():
@@ -391,7 +403,7 @@ def build_parser():
 
     sub = subs.add_parser("sample", help="draw pairs from a sector")
     sub.add_argument("sector")
-    sub.add_argument("--count", type=int, default=10)
+    sub.add_argument("--count", type=_int_at_least(0), default=10)
     sub.add_argument("--conjugate", action="store_true")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
@@ -399,7 +411,7 @@ def build_parser():
 
     sub = subs.add_parser("plot", help="emit SVG + CSV figure")
     sub.add_argument("figure", choices=FIGURES)
-    sub.add_argument("--resolution", type=int, default=12)
+    sub.add_argument("--resolution", type=_int_at_least(1), default=12)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_plot)
     return parser

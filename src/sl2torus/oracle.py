@@ -73,7 +73,6 @@ def search_conjugator(
     p: CommutingPair,
     q: CommutingPair,
     budget: int = 200_000,
-    starts: int = 100,
     seed: int = 0,
 ) -> ConjugatorSearchReport:
     """Solve for S in SL(2,R) with S^-1 p.U_i S = q.U_i, i = 1, 2.
@@ -90,8 +89,8 @@ def search_conjugator(
     ``residual`` is the largest entry of S^-1 p.U_i S - q.U_i recomputed
     from ``best_S``, and ``converged`` is ``residual <=
     CONVERGENCE_THRESHOLD``.  Non-convergence is data, not an error.
-    ``iterations`` is the number of solves (1).  ``budget``, ``starts`` and
-    ``seed`` are accepted for compatibility and do not change the result.
+    ``iterations`` is the number of solves (1).  ``budget`` and ``seed`` are
+    accepted for compatibility and do not change the result.
     """
     M = np.array(_sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2),
                  dtype=float)

@@ -21,7 +21,7 @@ from sl2torus import (
     sector_distance,
 )
 from sl2torus.atlas import (
-    _cells,
+    cells,
     _component,
     component_key,
     sample_params,
@@ -212,7 +212,7 @@ def test_incidence_is_a_cell_complex():
 @pytest.mark.parametrize("delta", [1e-3, 1e-6])
 def test_embed_continuous_at_attached_boundaries(delta):
     # the interior point of each cell, by label
-    points = {_component(s, p): (s, p) for s in SECTORS for p in _cells(s)}
+    points = {_component(s, p): (s, p) for s in SECTORS for p in cells(s)}
     attached = [e for e in incidence().entries if e[1] != "(open)"]
     assert attached
     for cell, bnd, note in attached:
@@ -277,6 +277,15 @@ def test_sheet_corners_meet_anchors():
     bb = embed(canon_of("BB", {"eps1": 1, "eps2": 1}))
     ab = embed(canon_of("AB", {"lam": 0.999, "eps2": 1}))
     assert math.dist((ab.x, ab.y, ab.z), (bb.x, bb.y, bb.z)) < 1e-2
+
+
+def test_aa_sheets_on_opposite_sides():
+    # the two sheets bulge apart; the AB and BA edges lie between them
+    params = {"lam": 0.5, "mu": -0.5}
+    y1 = embed(canon_of("AA1", params)).y
+    y2 = embed(canon_of("AA2", params)).y
+    assert y1 > 0 > y2
+    assert embed(canon_of("AB", {"lam": 0.5, "eps2": -1})).y == 0.0
 
 
 def test_bd_arc_lies_on_torus_section():

@@ -588,3 +588,41 @@ def test_plot_deterministic(tmp_path):
     main(["plot", "bd", "--out", str(tmp_path / "y")])
     assert (tmp_path / "x.svg").read_bytes() == (tmp_path / "y.svg").read_bytes()
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+
+
+# --- usage ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["classify", "canon", "equiv", "sample",
+                                     "plot"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    pairs = write_doc(tmp_path, pair_doc((DIAG, DIAG2)))
+    comps = write_doc(tmp_path, equiv_doc((DIAG, DIAG2, DIAG, DIAG2)),
+                      name="comps.json")
+    args = {"classify": [pairs], "canon": [pairs], "equiv": [comps],
+            "sample": ["BB", "--count", "2"],
+            "plot": ["ab", "--resolution", "1"]}[command]
+    out = tmp_path / "no" / "such" / "x.json"
+    assert main([command, *args, "--out", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"cannot write {out}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "ab", "--resolution", "0"],
+    ["sample", "DD", "--count", "-3"],
+], ids=lambda argv: argv[2])
+def test_out_of_range_counts_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[3]} is below" in capsys.readouterr().err
+
+
+def test_smallest_counts_accepted(tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["sample", "DD", "--count", "0", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == {"pairs": []}
+    base = tmp_path / "ab"
+    assert main(["plot", "ab", "--resolution", "1", "--out", str(base)]) \
+        == EXIT_OK
+    assert len((tmp_path / "ab.csv").read_text().splitlines()) > 5
