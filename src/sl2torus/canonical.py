@@ -6,7 +6,7 @@ parameters, and the equivalence decision."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
@@ -365,7 +365,8 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         sector = _MIRROR[r.sector]
         result = CanonicalPair(
             sector, {_MIRROR_PARAM[k]: v for k, v in r.params.items()},
-            r.witness, replace(r.trace, branch_notes=(sector,)),
+            r.witness,
+            CanonTrace(r.trace.c, r.trace.det_sprime_sign, (sector,)),
         )
     else:
         result = _DISPATCH[t1.tag, t2.tag](p, t1, t2, cfg)

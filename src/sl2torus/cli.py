@@ -376,6 +376,18 @@ def _int_at_least(lo):
     return parse
 
 
+def _tolerance(text):
+    """argparse type: a finite float above 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < x < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number above 0")
+    return x
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl2torus",
@@ -391,10 +403,10 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("input", help="JSON input document")
-        sub.add_argument("--det-tol", type=float, default=1e-9)
-        sub.add_argument("--class-tol", type=float, default=1e-9)
-        sub.add_argument("--comm-tol", type=float, default=1e-9)
-        sub.add_argument("--param-tol", type=float, default=1e-8)
+        sub.add_argument("--det-tol", type=_tolerance, default=1e-9)
+        sub.add_argument("--class-tol", type=_tolerance, default=1e-9)
+        sub.add_argument("--comm-tol", type=_tolerance, default=1e-9)
+        sub.add_argument("--param-tol", type=_tolerance, default=1e-8)
         sub.add_argument("--mode", choices=("float", "rational"),
                          default=None,
                          help="override the per-record arithmetic mode")

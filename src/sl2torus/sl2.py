@@ -37,8 +37,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("det_tol", "class_tol", "comm_tol", "param_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and above 0")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -107,17 +107,35 @@ def sl2_from_coords(omega: float, s: float, x: float) -> SL2Matrix:
 
 
 def conjugate(U: SL2Matrix, S: SL2Matrix) -> SL2Matrix:
-    """S^{-1} U S."""
-    return S.inv() @ U @ S
+    """S^{-1} U S, entry by entry: (adj(S) U) S with the operations of
+    ``S.inv() @ U @ S`` in the same order, so every result is the same."""
+    sa, sb, sc, sd = S.a, S.b, S.c, S.d
+    ma = sd * U.a + -sb * U.c
+    mb = sd * U.b + -sb * U.d
+    mc = -sc * U.a + sa * U.c
+    md = -sc * U.b + sa * U.d
+    return SL2Matrix(
+        ma * sa + mb * sc, ma * sb + mb * sd,
+        mc * sa + md * sc, mc * sb + md * sd,
+    )
 
 
 def commutator_norm(U1: SL2Matrix, U2: SL2Matrix) -> float:
-    return (U1 @ U2).max_abs_diff(U2 @ U1)
+    """Largest entry of |U1 U2 - U2 U1|, entry by entry with the operations
+    of ``(U1 @ U2).max_abs_diff(U2 @ U1)`` in the same order."""
+    a1, b1, c1, d1 = U1.a, U1.b, U1.c, U1.d
+    a2, b2, c2, d2 = U2.a, U2.b, U2.c, U2.d
+    return max(
+        abs((a1 * a2 + b1 * c2) - (a2 * a1 + b2 * c1)),
+        abs((a1 * b2 + b1 * d2) - (a2 * b1 + b2 * d1)),
+        abs((c1 * a2 + d1 * c2) - (c2 * a1 + d2 * c1)),
+        abs((c1 * b2 + d1 * d2) - (c2 * b1 + d2 * d1)),
+    )
 
 
 def _all_fractions(a, b, c, d) -> bool:
-    return (isinstance(a, Fraction) and isinstance(b, Fraction)
-            and isinstance(c, Fraction) and isinstance(d, Fraction))
+    return (type(a) is Fraction and type(b) is Fraction
+            and type(c) is Fraction and type(d) is Fraction)
 
 
 def is_exact(U: SL2Matrix) -> bool:

@@ -618,6 +618,19 @@ def test_out_of_range_counts_rejected(capsys, argv):
     assert f"{argv[3]} is below" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "option", ["--det-tol", "--class-tol", "--comm-tol", "--param-tol"])
+def test_bad_tolerance_is_usage_error(tmp_path, capsys, option, value):
+    inp = write_doc(tmp_path, pair_doc((DIAG, DIAG2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["canon", inp, option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{value!r} is not a finite number above 0" in captured.err
+
+
 def test_smallest_counts_accepted(tmp_path):
     out = tmp_path / "s.json"
     assert main(["sample", "DD", "--count", "0", "--out", str(out)]) == EXIT_OK

@@ -21,6 +21,7 @@ from sl2torus import (
     sl2_from_coords,
     trace_class,
 )
+from sl2torus.sl2 import commutator_norm, is_exact
 
 CFG = ToleranceConfig()
 
@@ -250,3 +251,72 @@ def test_classify_exact_rounding_to_boundary_raises():
 def test_tolerance_config_rejects_nonpositive():
     with pytest.raises(ValueError):
         ToleranceConfig(det_tol=0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", ["det_tol", "class_tol", "comm_tol", "param_tol"])
+def test_tolerance_config_rejects_non_finite_and_nonpositive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and above 0"):
+        ToleranceConfig(**{name: value})
+
+
+# --- the fused kernels against the products they replace -------------------
+
+# The identity is one of operations, not of algebra, so any entries do.
+float_entries = st.floats(-1e3, 1e3)
+exact_entries = st.fractions(-100, 100, max_denominator=50)
+
+
+def matrices(entries):
+    return st.builds(SL2Matrix, entries, entries, entries, entries)
+
+
+def same(got, want):
+    """Equal value and type, and for floats the same bits; NaN matches NaN."""
+    if type(got) is not type(want):
+        return False
+    if type(got) is float and math.isnan(got):
+        return math.isnan(want)
+    return got == want and (type(got) is not float
+                            or math.copysign(1.0, got)
+                            == math.copysign(1.0, want))
+
+
+def assert_kernels_match_products(U, S):
+    got, want = conjugate(U, S), S.inv() @ U @ S
+    assert all(map(same, astuple(got), astuple(want))), (got, want)
+    assert same(commutator_norm(U, S), (U @ S).max_abs_diff(S @ U))
+
+
+@given(st.one_of(
+    st.tuples(matrices(float_entries), matrices(float_entries)),
+    st.tuples(matrices(exact_entries), matrices(exact_entries)),
+    # exact U with float S, as the handlers conjugate rational input
+    st.tuples(matrices(exact_entries), matrices(float_entries)),
+))
+@settings(max_examples=300)
+def test_fused_kernels_equal_the_products(US):
+    assert_kernels_match_products(*US)
+
+
+@given(matrices(float_entries), matrices(float_entries), st.integers(0, 7))
+@settings(max_examples=200)
+def test_fused_kernels_equal_the_products_with_nan(U, S, k):
+    entries = [*astuple(U), *astuple(S)]
+    entries[k] = math.nan
+    assert_kernels_match_products(SL2Matrix(*entries[:4]),
+                                  SL2Matrix(*entries[4:]))
+
+
+@pytest.mark.parametrize("entries,exact", [
+    ((Fraction(2), Fraction(1), Fraction(1), Fraction(1)), True),
+    ((2, Fraction(1), Fraction(1), Fraction(1)), False),
+    ((Fraction(2), 1.0, Fraction(1), Fraction(1)), False),
+    ((Fraction(2), Fraction(1), True, Fraction(1)), False),
+], ids=["fractions", "int", "float", "bool"])
+def test_is_exact_only_for_four_fractions(entries, exact):
+    assert is_exact(SL2Matrix(*entries)) is exact
+    U = make_sl2(*entries)
+    assert is_exact(U) is exact
+    assert all(type(x) is (Fraction if exact else float) for x in astuple(U))
