@@ -164,7 +164,8 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 
 # ---------------------------------------------------------------------------
-# constructive case handlers
+# one construction per spectral family of U1: hyperbolic (A), parabolic (C)
+# or elliptic (D); U2 is of the same family or scalar (B)
 # ---------------------------------------------------------------------------
 
 
@@ -176,50 +177,31 @@ def _det2(v, w):
     return v[0] * w[1] - v[1] * w[0]
 
 
-def _sl2_from_basis(v, w):
-    """Rescale the second basis vector so the column matrix has det 1."""
-    d = _det2(v, w)
-    return _columns(v, (w[0] / d, w[1] / d))
-
-
-def canon_AA(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
+def _canon_A(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig):
     v, w = t1.directions  # small-|eigenvalue| direction first
-    S = _sl2_from_basis(v, w)
+    # w rescaled so that the column matrix has det 1
+    d = _det2(v, w)
+    S = _columns(v, (w[0] / d, w[1] / d))
+    sgn = 1 if d > 0 else -1
+    lam = conjugate(p.U1, S).a
+    if t2.tag == "B":
+        return "AB", {"lam": lam, "eps2": t2.eps}, S, None, sgn
     C2 = conjugate(p.U2, S)
     # AA1 if U2 also contracts the first direction, else AA2, whose mu is
     # the eigenvalue of U2 on the second
-    sector = "AA1" if abs(C2.a) < 1.0 else "AA2"
-    return CanonicalPair(
-        sector,
-        {"lam": conjugate(p.U1, S).a, "mu": C2.a if sector == "AA1" else C2.d},
-        S,
-        CanonTrace(None, 1 if _det2(v, w) > 0 else -1, (sector,)),
-    )
-
-
-def canon_AB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
-    v, w = t1.directions
-    S = _sl2_from_basis(v, w)
-    return CanonicalPair(
-        "AB", {"lam": conjugate(p.U1, S).a, "eps2": t2.eps}, S,
-        CanonTrace(None, 1 if _det2(v, w) > 0 else -1, ("AB",)),
-    )
-
-
-def canon_BB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
-    return CanonicalPair(
-        "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
-        CanonTrace(branch_notes=("BB trivial",)),
-    )
+    if abs(C2.a) < 1.0:
+        return "AA1", {"lam": lam, "mu": C2.a}, S, None, sgn
+    return "AA2", {"lam": lam, "mu": C2.d}, S, None, sgn
 
 
 def _unit_basis(v, w):
     """Column matrix of v and w scaled to determinant 1, with v negated
-    when det(v, w) < 0, and the sign of det(v, w)."""
+    when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
+    and w are parallel."""
     d = _det2(v, w)
+    if d == 0:
+        raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
     sgn = 1 if d > 0 else -1
     if sgn < 0:
         v, d = (-v[0], -v[1]), -d
@@ -240,17 +222,35 @@ def _parabolic_basis(U: SL2Matrix, eps):
     return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
 
 
-def canon_CB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
+def _canon_C(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig):
     v1, w = _parabolic_basis(p.U1, t1.eps)
-    # a negative basis is repaired with diag(-1, 1); the off-diagonal sign
-    # flips and the two signs are not related by any unit-determinant
-    # conjugation
-    S, sgn = _unit_basis(v1, w)
-    return CanonicalPair(
-        "CB", {"eps1": t1.eps, "eps2": t2.eps, "eps3": sgn}, S,
-        CanonTrace(None, sgn, ("CB",)),
+    if t2.tag == "B":
+        # a negative basis is repaired with diag(-1, 1); the off-diagonal
+        # sign flips and the two signs are not related by any
+        # unit-determinant conjugation
+        S, sgn = _unit_basis(v1, w)
+        return "CB", {"eps1": t1.eps, "eps2": t2.eps, "eps3": sgn}, S, None, sgn
+    d = _det2(v1, w)
+    sgn = 1 if d > 0 else -1
+    # U2 w - eps2 w = c * v1 for some c != 0
+    rw = (
+        p.U2.a * w[0] + p.U2.b * w[1] - t2.eps * w[0],
+        p.U2.c * w[0] + p.U2.d * w[1] - t2.eps * w[1],
     )
+    nv = v1[0] * v1[0] + v1[1] * v1[1]
+    c = (rw[0] * v1[0] + rw[1] * v1[1]) / nv
+    if abs(c) <= cfg.param_tol:
+        raise DegenerateCC(f"coupling scalar {c!r} vanishes within tolerance")
+    base = math.atan(c)  # in (-pi/2, pi/2), cos > 0
+    if sgn > 0:
+        alpha = base if base > 0 else base + _TWO_PI
+    else:
+        alpha = base + math.pi
+    cos_a = math.cos(alpha)
+    # det(v1 / cos(alpha), w) = d / cos(alpha) > 0
+    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
+    return "CC", {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha}, S, c, sgn
 
 
 def _real_rotation_basis(U: SL2Matrix):
@@ -276,20 +276,13 @@ def _rotation_angle(C: SL2Matrix) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def canon_DB(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
-    S, sgn, _ = _real_rotation_basis(p.U1)
-    theta = _rotation_angle(conjugate(p.U1, S))
-    return CanonicalPair(
-        "DB", {"theta": theta, "eps2": t2.eps}, S,
-        CanonTrace(None, sgn, ("DB",)),
-    )
-
-
-def canon_DD(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
-    # joint eigenvector computed from U1 alone, validated against U2
+def _canon_D(p: CommutingPair, t1: SpectralType, t2: SpectralType,
+             cfg: ToleranceConfig):
     S, sgn, u = _real_rotation_basis(p.U1)
+    theta = _rotation_angle(conjugate(p.U1, S))
+    if t2.tag == "B":
+        return "DB", {"theta": theta, "eps2": t2.eps}, S, None, sgn
+    # joint eigenvector computed from U1 alone, validated against U2
     i = 0 if abs(u[0]) >= abs(u[1]) else 1
     im = (
         p.U2.a * u[0] + p.U2.b * u[1],
@@ -301,53 +294,13 @@ def canon_DD(p: CommutingPair, t1: SpectralType, t2: SpectralType,
         raise SL2TorusError(
             f"joint eigenvector validation failed, residual {resid:.3e}"
         )
-    theta = _rotation_angle(conjugate(p.U1, S))
     phi = _rotation_angle(conjugate(p.U2, S))
-    return CanonicalPair(
-        "DD", {"theta": theta, "phi": phi}, S,
-        CanonTrace(None, sgn, ("DD",)),
-    )
+    return "DD", {"theta": theta, "phi": phi}, S, None, sgn
 
 
-def canon_CC(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig) -> CanonicalPair:
-    v1, w = _parabolic_basis(p.U1, t1.eps)
-    d = _det2(v1, w)
-    sgn = 1 if d > 0 else -1
-    # U2 w - eps2 w = c * v1 for some c != 0
-    rw = (
-        p.U2.a * w[0] + p.U2.b * w[1] - t2.eps * w[0],
-        p.U2.c * w[0] + p.U2.d * w[1] - t2.eps * w[1],
-    )
-    nv = v1[0] * v1[0] + v1[1] * v1[1]
-    c = (rw[0] * v1[0] + rw[1] * v1[1]) / nv
-    if abs(c) <= cfg.param_tol:
-        raise DegenerateCC(f"coupling scalar {c!r} vanishes within tolerance")
-    base = math.atan(c)  # in (-pi/2, pi/2), cos > 0
-    if sgn > 0:
-        alpha = base if base > 0 else base + _TWO_PI
-    else:
-        alpha = base + math.pi
-    cos_a = math.cos(alpha)
-    # det(v1 / cos(alpha), w) = d / cos(alpha) > 0
-    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
-    return CanonicalPair(
-        "CC",
-        {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha},
-        S,
-        CanonTrace(c, sgn, ("CC",)),
-    )
-
-
-_DISPATCH = {
-    ("A", "A"): canon_AA,
-    ("A", "B"): canon_AB,
-    ("B", "B"): canon_BB,
-    ("C", "B"): canon_CB,
-    ("D", "B"): canon_DB,
-    ("C", "C"): canon_CC,
-    ("D", "D"): canon_DD,
-}
+# keyed by the tag of U1; each returns (sector, params, witness, c, sign of
+# det S' before repair)
+_FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D}
 
 # BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
 # conjugation commutes with the exchange, so one witness serves both
@@ -358,18 +311,23 @@ _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
 
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
     """Sector, parameters and witness of p.  Each matrix is classified once;
-    the sector handler receives the two spectral types."""
+    the construction of the non-scalar matrix's family receives the two
+    spectral types."""
     t1, t2 = spectral_types(p, cfg)
-    if t1.tag == "B" and t2.tag != "B":
-        r = _DISPATCH[t2.tag, "B"](CommutingPair(p.U2, p.U1), t2, t1, cfg)
-        sector = _MIRROR[r.sector]
+    if t1.tag == t2.tag == "B":
         result = CanonicalPair(
-            sector, {_MIRROR_PARAM[k]: v for k, v in r.params.items()},
-            r.witness,
-            CanonTrace(r.trace.c, r.trace.det_sprime_sign, (sector,)),
+            "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
+            CanonTrace(branch_notes=("BB trivial",)),
         )
     else:
-        result = _DISPATCH[t1.tag, t2.tag](p, t1, t2, cfg)
+        if t1.tag == "B":
+            sector, params, S, c, sgn = _FAMILY[t2.tag](
+                CommutingPair(p.U2, p.U1), t2, t1, cfg)
+            sector = _MIRROR[sector]
+            params = {_MIRROR_PARAM[k]: v for k, v in params.items()}
+        else:
+            sector, params, S, c, sgn = _FAMILY[t1.tag](p, t1, t2, cfg)
+        result = CanonicalPair(sector, params, S, CanonTrace(c, sgn, (sector,)))
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)

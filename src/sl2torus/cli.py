@@ -388,6 +388,28 @@ def _tolerance(text):
     return x
 
 
+_TOLERANCE_DEFAULTS = {"--det-tol": 1e-9, "--class-tol": 1e-9,
+                       "--comm-tol": 1e-9, "--param-tol": 1e-8}
+
+
+def _join_signed_values(argv):
+    """argv with each tolerance option joined to a following number that
+    starts with '-', such as -1e-9 or -inf, which argparse would otherwise
+    read as an option, so that _tolerance rejects it with its own message."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _TOLERANCE_DEFAULTS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl2torus",
@@ -403,10 +425,8 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("input", help="JSON input document")
-        sub.add_argument("--det-tol", type=_tolerance, default=1e-9)
-        sub.add_argument("--class-tol", type=_tolerance, default=1e-9)
-        sub.add_argument("--comm-tol", type=_tolerance, default=1e-9)
-        sub.add_argument("--param-tol", type=_tolerance, default=1e-8)
+        for option, default in _TOLERANCE_DEFAULTS.items():
+            sub.add_argument(option, type=_tolerance, default=default)
         sub.add_argument("--mode", choices=("float", "rational"),
                          default=None,
                          help="override the per-record arithmetic mode")
@@ -431,7 +451,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -10,6 +10,7 @@ from sl2torus import (
     DegenerateCC,
     ParamOutOfRange,
     SL2Matrix,
+    SL2TorusError,
     ToleranceConfig,
     apply_conjugation,
     canonicalize,
@@ -21,7 +22,7 @@ from sl2torus import (
     sl2_from_coords,
 )
 from sl2torus.atlas import random_sl2, sample_params, sample_sector
-from sl2torus.canonical import SECTOR_CONTINUOUS, SECTORS
+from sl2torus.canonical import SECTOR_CONTINUOUS, SECTORS, _unit_basis
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
@@ -134,6 +135,14 @@ def test_bc_sign_is_sl2_invariant():
         q = apply_conjugation(base, random_sl2(rng))
         c = canonicalize(pair(q.U1, q.U2))
         assert c.params["eps4"] == -1
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "exact"])
+def test_unit_basis_rejects_parallel_vectors(one):
+    # a bare SL2TorusError, which the CLI reports as INTERNAL_VALIDATION
+    with pytest.raises(SL2TorusError, match="degenerate") as exc:
+        _unit_basis((0 * one, one / 100000), (0 * one, one))
+    assert type(exc.value) is SL2TorusError
 
 
 # --- BD / DB --------------------------------------------------------------
@@ -312,6 +321,9 @@ def test_round_trip_property(sector, seed):
             assert c.params[k] == v
         else:
             assert c.params[k] == pytest.approx(v, abs=CFG.param_tol)
+    assert c.trace.branch_notes == (
+        ("BB trivial",) if sector == "BB" else (sector,))
+    assert (c.trace.c is not None) == (sector == "CC")
     # witness validity
     target = reconstruct(sector, c.params)
     got = apply_conjugation(q, c.witness)
@@ -365,6 +377,8 @@ def test_mirror_sectors_are_the_swapped_pair(sector, seed):
     assert m.params == {rename[k]: v for k, v in c.params.items()}
     assert m.witness == c.witness
     assert m.trace.branch_notes == (mirror,)
+    assert m.trace.c == c.trace.c
+    assert m.trace.det_sprime_sign == c.trace.det_sprime_sign
 
 
 # --- equivalence: positive and negative -----------------------------------

@@ -370,6 +370,20 @@ def test_internal_validation_error_code(tmp_path):
     assert good["sector"] == "AA1"
 
 
+def test_degenerate_basis_is_record_error(tmp_path, capsys):
+    # classified parabolic; its nilpotent column is parallel to the
+    # standard basis vector paired with it, so no witness exists
+    U1 = [[0.99999, 0], [0, 1.000010000100001]]
+    inp = write_doc(tmp_path, pair_doc((U1, IDENT), (DIAG, DIAG2)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out)]) == EXIT_DOMAIN
+    bad, good = read_lines(out)
+    assert bad["error"] == "INTERNAL_VALIDATION"
+    assert "degenerate" in bad["detail"]
+    assert good["sector"] == "AA1"
+    assert capsys.readouterr().err == ""
+
+
 # The exact CC pair with off-diagonals 1e-12 and 2e-12: float arithmetic
 # sees two scalars, the exact tests see coupling c = 2.
 TINY_CC = ([[1, [1, 10**12]], [0, 1]], [[1, [2, 10**12]], [0, 1]])
@@ -618,7 +632,8 @@ def test_out_of_range_counts_rejected(capsys, argv):
     assert f"{argv[3]} is below" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "value", ["0", "-1", "nan", "inf", "-1e-9", "-inf", "-nan"])
 @pytest.mark.parametrize(
     "option", ["--det-tol", "--class-tol", "--comm-tol", "--param-tol"])
 def test_bad_tolerance_is_usage_error(tmp_path, capsys, option, value):
