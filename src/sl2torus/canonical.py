@@ -17,10 +17,8 @@ from .sl2 import (
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
-    binary_exponent,
     conjugate,
     is_exact,
-    nilpotent_column,
     rotation,
 )
 
@@ -179,7 +177,7 @@ def _det2(v, w):
 
 def _canon_A(p: CommutingPair, t1: SpectralType, t2: SpectralType,
              cfg: ToleranceConfig):
-    v, w = t1.directions  # small-|eigenvalue| direction first
+    v, w = t1.basis  # small-|eigenvalue| direction first
     # w rescaled so that the column matrix has det 1
     d = _det2(v, w)
     S = _columns(v, (w[0] / d, w[1] / d))
@@ -209,22 +207,9 @@ def _unit_basis(v, w):
     return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
 
 
-def _parabolic_basis(U: SL2Matrix, eps):
-    """Columns v1, w with U v1 = eps v1 and U w = v1 + eps w."""
-    # w is a standard basis vector, which yields the identity witness on
-    # canonical input
-    v1, w = nilpotent_column(U, eps)
-    if not is_exact(U):
-        return v1, w
-    # scaled by a power of two to determinant near 1, so that a nilpotent
-    # part far below the float range keeps its witness
-    s = Fraction(2) ** (binary_exponent(abs(_det2(v1, w))) // 2)
-    return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
-
-
 def _canon_C(p: CommutingPair, t1: SpectralType, t2: SpectralType,
              cfg: ToleranceConfig):
-    v1, w = _parabolic_basis(p.U1, t1.eps)
+    v1, w = t1.basis
     if t2.tag == "B":
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
         # sign flips and the two signs are not related by any
@@ -253,24 +238,6 @@ def _canon_C(p: CommutingPair, t1: SpectralType, t2: SpectralType,
     return "CC", {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha}, S, c, sgn
 
 
-def _real_rotation_basis(U: SL2Matrix):
-    """Real basis turning an elliptic matrix into rotation form, the sign of
-    the raw basis determinant before the orientation repair, and the complex
-    eigenvector u, for the eigenvalue with positive imaginary part, that the
-    basis is taken from."""
-    t = max(-1.0, min(1.0, U.trace() / 2.0))
-    ev = complex(t, math.sqrt(max(0.0, 1.0 - t * t)))
-    if ev.imag == 0:  # an exact trace that rounds to +-2
-        raise ParamOutOfRange(f"cos(theta) rounds to {t!r}, no rotation basis")
-    r1 = (complex(U.b), ev - U.a)
-    r2 = (ev - U.d, complex(U.c))
-    u = r1 if abs(U.b) >= abs(U.c) else r2
-    # flipping the first basis vector applies angle -> 2*pi - angle
-    S, sgn = _unit_basis((2.0 * u[0].real, 2.0 * u[1].real),
-                         (2.0 * u[0].imag, 2.0 * u[1].imag))
-    return S, sgn, u
-
-
 def _rotation_angle(C: SL2Matrix) -> float:
     ang = math.atan2(C.c, C.a)
     return ang if ang > 0 else ang + _TWO_PI
@@ -278,11 +245,14 @@ def _rotation_angle(C: SL2Matrix) -> float:
 
 def _canon_D(p: CommutingPair, t1: SpectralType, t2: SpectralType,
              cfg: ToleranceConfig):
-    S, sgn, u = _real_rotation_basis(p.U1)
+    x, y = t1.basis
+    # flipping the first basis vector applies angle -> 2*pi - angle
+    S, sgn = _unit_basis(x, y)
     theta = _rotation_angle(conjugate(p.U1, S))
     if t2.tag == "B":
         return "DB", {"theta": theta, "eps2": t2.eps}, S, None, sgn
-    # joint eigenvector computed from U1 alone, validated against U2
+    # joint eigenvector of U1, validated against U2
+    u = (complex(x[0], y[0]) / 2, complex(x[1], y[1]) / 2)
     i = 0 if abs(u[0]) >= abs(u[1]) else 1
     im = (
         p.U2.a * u[0] + p.U2.b * u[1],

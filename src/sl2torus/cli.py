@@ -16,6 +16,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .atlas import cells, random_sl2, sample_params
@@ -175,12 +176,8 @@ def _pair(side, where, mode, cfg):
 
 
 def _cfg(args) -> ToleranceConfig:
-    return ToleranceConfig(
-        det_tol=args.det_tol,
-        class_tol=args.class_tol,
-        comm_tol=args.comm_tol,
-        param_tol=args.param_tol,
-    )
+    return ToleranceConfig(*(getattr(args, f.name)
+                             for f in fields(ToleranceConfig)))
 
 
 def _type_json(st):
@@ -248,7 +245,8 @@ def _canon_record(rec, where, mode, cfg):
         for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
             tr = U.trace()
             if abs(tr) < 2:  # elliptic
-                exact[key] = [tr.numerator, 2 * tr.denominator]
+                co = tr / 2
+                exact[key] = [co.numerator, co.denominator]
         if exact:
             out["exact"] = exact
     return out
@@ -388,8 +386,9 @@ def _tolerance(text):
     return x
 
 
-_TOLERANCE_DEFAULTS = {"--det-tol": 1e-9, "--class-tol": 1e-9,
-                       "--comm-tol": 1e-9, "--param-tol": 1e-8}
+# argparse stores --det-tol as det_tol, the field that _cfg reads
+_TOLERANCE_OPTIONS = {"--" + f.name.replace("_", "-"): f.default
+                      for f in fields(ToleranceConfig)}
 
 
 def _join_signed_values(argv):
@@ -398,7 +397,7 @@ def _join_signed_values(argv):
     read as an option, so that _tolerance rejects it with its own message."""
     out = []
     for arg in argv:
-        if out and out[-1] in _TOLERANCE_DEFAULTS and arg.startswith("-"):
+        if out and out[-1] in _TOLERANCE_OPTIONS and arg.startswith("-"):
             try:
                 float(arg)
             except ValueError:
@@ -425,7 +424,7 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("input", help="JSON input document")
-        for option, default in _TOLERANCE_DEFAULTS.items():
+        for option, default in _TOLERANCE_OPTIONS.items():
             sub.add_argument(option, type=_tolerance, default=default)
         sub.add_argument("--mode", choices=("float", "rational"),
                          default=None,

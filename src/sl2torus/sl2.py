@@ -185,29 +185,27 @@ def _real_eigendirection(U: SL2Matrix, lam: float):
     return _normalize_direction((row[1], -row[0]))
 
 
-def nilpotent_column(U: SL2Matrix, eps):
-    """The larger column of the nilpotent part N = U - eps*I of a non-scalar
-    parabolic matrix, which spans the kernel of N, and the standard basis
-    vector e with N e equal to it.  Exact columns are compared by their
-    largest entry, so that one far below the float range is not rounded to
-    zero."""
+def _parabolic_basis(U: SL2Matrix, eps):
+    """Columns v1, w with U v1 = eps v1 and U w = v1 + eps w, for a
+    non-scalar parabolic U.  v1 is the larger column of the nilpotent part
+    N = U - eps*I, which spans the kernel of N, and w the standard basis
+    vector with N w = v1, which yields the identity witness on canonical
+    input."""
     c1 = (U.a - eps, U.c)
     c2 = (U.b, U.d - eps)
-    if is_exact(U):
+    exact = is_exact(U)
+    if exact:  # by largest entry, so that a tiny one is not rounded to zero
         second = max(map(abs, c2)) >= max(map(abs, c1))
     else:
         second = math.hypot(*c2) >= math.hypot(*c1)
-    return (c2, (0, 1)) if second else (c1, (1, 0))
-
-
-def _parabolic_direction(U: SL2Matrix, eps: float):
-    """Eigendirection of a non-scalar parabolic matrix."""
-    col, _ = nilpotent_column(U, eps)
-    if is_exact(U):
-        # scaled exactly into the float range before normalizing
-        s = Fraction(2) ** binary_exponent(max(map(abs, col)))
-        col = (col[0] / s, col[1] / s)
-    return _normalize_direction(col)
+    v1, w = (c2, (0, 1)) if second else (c1, (1, 0))
+    if not exact:
+        return v1, w
+    # scaled by a power of two to determinant near 1, so that a nilpotent
+    # part far below the float range keeps its witness
+    det = v1[0] * w[1] - v1[1] * w[0]
+    s = Fraction(2) ** (binary_exponent(abs(det)) // 2)
+    return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
 
 
 @dataclass(frozen=True)
@@ -216,14 +214,18 @@ class SpectralType:
     lam: float | None = None       # A: signed eigenvalue, 0 < |lam| < 1
     eps: int | None = None         # B, C: +-1
     theta: float | None = None     # D: angle in (0,pi) u (pi,2pi)
-    directions: tuple = field(default=())  # A: two (small-|ev| first); C: one
+    # A, C, D: columns v, w of a real basis putting U in its family's normal
+    # form.  A: unit eigenvectors, small-|eigenvalue| first; C: U v = eps v,
+    # U w = v + eps w; D: twice the real and imaginary parts of an
+    # eigenvector for exp(i theta0), theta0 in (0, pi) before 2 pi - theta
+    basis: tuple = field(default=())
 
 
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
-    """Spectral type of U.  On an exact matrix the tolerance is 0, so the
-    |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
-    Integer constants keep Fraction arithmetic exact up to the square roots
-    and the final float results."""
+    """Spectral type of U and its normal-form basis.  On an exact matrix the
+    tolerance is 0, so the |tr| = 2 tests are exact and
+    ClassificationAmbiguous cannot occur.  Integer constants keep Fraction
+    arithmetic exact up to the square roots and the final float results."""
     tol = 0 if is_exact(U) else cfg.class_tol
     t = U.trace()
     if abs(t) > 2 + tol:
@@ -237,7 +239,7 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
             raise ParamOutOfRange(f"lam = {lam!r} rounds to a boundary")
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
-        return SpectralType("A", lam=lam, directions=(v_small, v_big))
+        return SpectralType("A", lam=lam, basis=(v_small, v_big))
     if abs(abs(t) - 2) <= tol:
         eps = 1 if t > 0 else -1
         dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
@@ -247,25 +249,34 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
             raise ClassificationAmbiguous(
                 f"scalar deviation {dev:.3e} in the unresolved band"
             )
-        return SpectralType(
-            "C", eps=eps, directions=(_parabolic_direction(U, eps),)
-        )
+        return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
     # elliptic
-    theta = math.acos(max(-1.0, min(1.0, t / 2.0)))
+    co = max(-1.0, min(1.0, t / 2.0))
+    theta = math.acos(co)
     if not 0 < theta < math.pi:
         # an exact |t| within float resolution of 2: the angle's distance
         # from 0 or pi, from the exact 2 - |t|
         off = 2.0 * math.asin(math.sqrt((2 - abs(t)) / 4))
         theta = off if t > 0 else math.pi - off
+    ev = complex(co, math.sin(theta))  # exp(i theta0), even if co is +-1
     if U.c - U.b < 0:
         theta = 2.0 * math.pi - theta
     if theta in (0.0, math.pi, 2.0 * math.pi):
         raise ParamOutOfRange(f"theta = {theta!r} rounds to a boundary")
-    return SpectralType("D", theta=theta)
+    # the kernel of U - ev*I, from the row with the larger off-diagonal entry
+    if abs(U.b) >= abs(U.c):
+        u = (complex(U.b), ev - U.a)
+    else:
+        u = (ev - U.d, complex(U.c))
+    return SpectralType("D", theta=theta, basis=(
+        (2.0 * u[0].real, 2.0 * u[1].real),
+        (2.0 * u[0].imag, 2.0 * u[1].imag),
+    ))
 
 
 def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
-    """Coarse partition by trace alone: hyperbolic / parabolic / elliptic."""
+    """Coarse partition by trace alone: hyperbolic / parabolic / elliptic,
+    the band that classify refines."""
     tol = 0 if is_exact(U) else cfg.class_tol
     t = abs(U.trace())
     if t > 2 + tol:
@@ -289,9 +300,13 @@ def eigen_data(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
         raise NoRealEigenvalues("elliptic matrix has no real eigenvalues")
     if st.tag == "A":
         return [
-            EigenDatum(st.lam, st.directions[0]),
-            EigenDatum(1.0 / st.lam, st.directions[1]),
+            EigenDatum(st.lam, st.basis[0]),
+            EigenDatum(1.0 / st.lam, st.basis[1]),
         ]
     if st.tag == "C":
-        return [EigenDatum(float(st.eps), st.directions[0])]
+        v = st.basis[0]
+        if is_exact(U):  # scaled exactly into the float range
+            s = Fraction(2) ** binary_exponent(max(map(abs, v)))
+            v = (v[0] / s, v[1] / s)
+        return [EigenDatum(float(st.eps), _normalize_direction(v))]
     return [EigenDatum(float(st.eps), (1.0, 0.0), full_plane=True)]

@@ -327,11 +327,7 @@ BIG = 10**20
     # 2 pi - 2e-20 rounds to 2 pi
     ("classify", rational_rotation(BIG, -1), "theta = 6.28"),
     ("canon", rational_rotation(BIG, -1), "theta = 6.28"),
-    # 2e-9 is a float, but its cosine rounds to 1.0, which leaves the float
-    # construction no rotation basis
-    ("canon", rational_rotation(10**9, 1), "cos(theta) rounds to 1.0"),
-], ids=["classify-lam", "canon-lam", "classify-theta", "canon-theta",
-        "canon-cos"])
+], ids=["classify-lam", "canon-lam", "classify-theta", "canon-theta"])
 def test_rational_rounding_to_boundary_is_out_of_range(tmp_path, capsys,
                                                        command, U1, detail):
     inp = write_doc(tmp_path, pair_doc((U1, IDENT), (JORDAN, IDENT)))
@@ -353,6 +349,29 @@ def test_classify_rational_angle_below_cosine_resolution(tmp_path):
         == EXIT_OK
     rec = read_lines(out)[0]
     assert rec["type1"] == {"tag": "D", "theta": pytest.approx(2e-9)}
+    # canon answers the angle classify gives, with either matrix elliptic
+    # and for a DD pair
+    R, Rinv = rational_rotation(10**9, 1), rational_rotation(10**9, -1)
+    pairs = ((R, IDENT), (Rinv, IDENT), (IDENT, R), (IDENT, Rinv), (R, Rinv))
+    inp = write_doc(tmp_path, pair_doc(*pairs), "rotations.json")
+    outs = {}
+    for command in ("classify", "canon"):
+        outs[command] = tmp_path / f"{command}.jsonl"
+        assert main([command, inp, "--out", str(outs[command]),
+                     "--mode", "rational"]) == EXIT_OK
+    small, large = pytest.approx(2e-9), pytest.approx(2 * math.pi - 2e-9)
+    want = [("DB", {"theta": small, "eps2": 1}),
+            ("DB", {"theta": large, "eps2": 1}),
+            ("BD", {"eps1": 1, "phi": small}),
+            ("BD", {"eps1": 1, "phi": large}),
+            ("DD", {"theta": small, "phi": large})]
+    for (sector, params), typed, canon in zip(
+            want, read_lines(outs["classify"]), read_lines(outs["canon"])):
+        assert (canon["sector"], canon["params"]) == (sector, params)
+        for key, angle in (("type1", "theta"), ("type2", "phi")):
+            if typed[key]["tag"] == "D":
+                assert canon["params"][angle] == \
+                    pytest.approx(typed[key]["theta"], rel=1e-12)
 
 
 def test_internal_validation_error_code(tmp_path):
@@ -424,6 +443,28 @@ def test_canon_rational_cc_exact_payload(tmp_path):
     assert rec["exact"]["c"] == [2, 1]
     assert rec["exact"]["det_sprime_sign"] == 1
     assert rec["params"]["alpha"] == pytest.approx(math.atan(2))
+
+
+def test_canon_rational_exact_cosines(tmp_path):
+    # cos = 3/5 and 4/5; their traces 6/5 and 8/5 have even numerators
+    R, S = rational_rotation(2, 1), rational_rotation(3, -1)
+    inp = write_doc(tmp_path, pair_doc((R, IDENT), (NEG_IDENT, S), (R, S)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+
+    def cos(U):
+        q = (Fraction(*U[0][0]) + Fraction(*U[1][1])) / 2
+        return [q.numerator, q.denominator]
+
+    assert cos(R) == [3, 5] and cos(S) == [4, 5]
+    db, bd, dd = read_lines(out)
+    assert (db["sector"], db["exact"]) == ("DB", {"cos_theta": cos(R)})
+    assert (bd["sector"], bd["exact"]) == ("BD", {"cos_phi": cos(S)})
+    assert (dd["sector"], dd["exact"]) == \
+        ("DD", {"cos_theta": cos(R), "cos_phi": cos(S)})
+    assert math.cos(dd["params"]["theta"]) == pytest.approx(0.6)
+    assert math.cos(dd["params"]["phi"]) == pytest.approx(0.8)
 
 
 def test_canon_rational_tiny_cc(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import astuple
 from fractions import Fraction
@@ -96,10 +97,14 @@ def test_classify_jordan_block():
 
 
 def test_classify_exact_jordan_below_float_range():
-    # 10^-400 rounds to 0.0 as a float, so the direction is found exactly
+    # 10^-400 rounds to 0.0 as a float, so the direction is found exactly;
+    # at 10^-700 even the square root of the entry is below the float range
     F = Fraction
-    st_ = classify(make_sl2(F(1), F(1, 10**400), F(0), F(1)), CFG)
-    assert (st_.tag, st_.eps, st_.directions) == ("C", 1, ((1.0, 0.0),))
+    for e in (400, 700):
+        U = make_sl2(F(1), F(1, 10**e), F(0), F(1))
+        st_ = classify(U, CFG)
+        assert (st_.tag, st_.eps) == ("C", 1)
+        assert eigen_data(U, CFG)[0].direction == (1.0, 0.0)
 
 
 def test_classify_rotation():
@@ -213,6 +218,32 @@ def test_eigen_data_residual(U, c):
         resid = math.hypot(iv[0] - datum.value * datum.direction[0],
                            iv[1] - datum.value * datum.direction[1])
         assert resid <= 1e-7 * scale
+
+
+@given(sample_matrices, coords)
+@settings(max_examples=100)
+def test_classify_basis_normal_form(U, c):
+    V = conjugate(U, sl2_from_coords(*c))
+    st_ = classify(V, CFG)
+    if st_.tag == "B":
+        return
+    v, w = st_.basis
+    assert v[0] * w[1] - v[1] * w[0] != 0
+    if st_.tag == "A":
+        pairs = ((V.apply(v), (st_.lam * v[0], st_.lam * v[1])),
+                 (V.apply(w), (w[0] / st_.lam, w[1] / st_.lam)))
+    elif st_.tag == "C":
+        e = st_.eps
+        pairs = ((V.apply(v), (e * v[0], e * v[1])),
+                 (V.apply(w), (v[0] + e * w[0], v[1] + e * w[1])))
+    else:
+        theta0 = min(st_.theta, 2 * math.pi - st_.theta)
+        ev = cmath.exp(1j * theta0)
+        u = (complex(v[0], w[0]) / 2, complex(v[1], w[1]) / 2)
+        pairs = ((V.apply(u), (ev * u[0], ev * u[1])),)
+    scale = max(1.0, abs(V.a), abs(V.b), abs(V.c), abs(V.d))
+    for got, want in pairs:
+        assert abs(got[0] - want[0]) + abs(got[1] - want[1]) <= 1e-7 * scale
 
 
 def test_elliptic_theta_never_boundary():
