@@ -55,8 +55,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # the oracle imports numpy, which nothing else needs: load it on first
-    # use (PEP 562)
+    # nothing else in the package uses the oracle: load it on first use
+    # (PEP 562)
     if name in ("ConjugatorSearchReport", "exact_classify",
                 "search_conjugator"):
         from . import oracle

@@ -196,15 +196,19 @@ def _canon_A(p: CommutingPair, t1: SpectralType, t2: SpectralType,
 def _unit_basis(v, w):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
-    and w are parallel."""
-    d = _det2(v, w)
-    if d == 0:
-        raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
-    sgn = 1 if d > 0 else -1
-    if sgn < 0:
-        v, d = (-v[0], -v[1]), -d
-    r = 1.0 / math.sqrt(d)
-    return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
+    and w are parallel, or when an exact column has a float entry beyond
+    the float range."""
+    try:
+        d = _det2(v, w)
+        if d == 0:
+            raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
+        sgn = 1 if d > 0 else -1
+        if sgn < 0:
+            v, d = (-v[0], -v[1]), -d
+        r = 1.0 / math.sqrt(d)
+        return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
+    except OverflowError:
+        raise SL2TorusError("witness beyond the float range") from None
 
 
 def _canon_C(p: CommutingPair, t1: SpectralType, t2: SpectralType,

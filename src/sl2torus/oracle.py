@@ -8,7 +8,8 @@ eigenvectors, no sectors).  ``S^-1 U_i S = V_i`` holds exactly when
 (the Kronecker/vec form of the Sylvester equation).  The solutions of both
 equations form the intertwiner space; the pairs are SL(2,R)-conjugate
 exactly when the determinant, a quadratic form on that space, takes a
-positive value there.
+positive value there.  Gaussian elimination finds the space and Jacobi
+rotations the largest value of the form on it, in plain Python floats.
 """
 
 from __future__ import annotations
@@ -16,32 +17,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .pairs import CommutingPair
-from .sl2 import IDENTITY, SL2Matrix, SpectralType, classify, make_sl2
+from .sl2 import (
+    IDENTITY,
+    SL2Matrix,
+    SpectralType,
+    classify,
+    conjugate,
+    make_sl2,
+)
 
 CONVERGENCE_THRESHOLD = 1e-8
 DISTINCT_FLOOR = 1e-3  # empirical separation, not a mathematical claim
 
-# A right singular vector of the Sylvester system spans part of the
-# intertwiner space when its singular value is at most
-# RANK_TOL * max(1, largest singular value).
+# Elimination with complete pivoting stops at the first pivot of at most
+# RANK_TOL * max(1, largest entry of the system); the columns left without
+# a pivot span the intertwiner space.
 RANK_TOL = 1e-9
 # On an orthonormal basis of the intertwiner space the determinant form has
 # eigenvalues in [-1/2, 1/2]; the pairs count as conjugate only when the
 # largest exceeds SIGN_TOL.  For reflection (det -1) twins of BC and CB it
 # is exactly 0.
 SIGN_TOL = 1e-9
-
-# det S = a d - b c = s^T J s for s = (a, b, c, d)
-_DET_FORM = np.array([
-    [0.0, 0.0, 0.0, 0.5],
-    [0.0, 0.0, -0.5, 0.0],
-    [0.0, -0.5, 0.0, 0.0],
-    [0.5, 0.0, 0.0, 0.0],
-])
+# Jacobi rotations end after a sweep that rotates nothing; on a matrix of
+# order 4 or less that takes a handful of sweeps
+_JACOBI_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,125 @@ def _sylvester_rows(U: SL2Matrix, V: SL2Matrix):
     ]
 
 
+def _det_form(s, t):
+    """The polar form of the determinant: det S = _det_form(s, s) for
+    s = vec S."""
+    return 0.5 * (s[0] * t[3] + s[3] * t[0] - s[1] * t[2] - s[2] * t[1])
+
+
+def _eliminate(rows):
+    """Gaussian elimination with complete pivoting on the float copy of the
+    4-column ``rows``, stopped at the first pivot of at most
+    RANK_TOL * max(1, largest entry); the largest entry is the first pivot.
+    Returns the rows, whose first ``rank`` are the echelon rows, the
+    columns (pivot columns in pivot order, then the rest) and the rank,
+    the number of pivots taken."""
+    A = [list(map(float, row)) for row in rows]
+    pivots, free = [], [0, 1, 2, 3]
+    for k in range(4):
+        piv = -1.0
+        for i in range(k, len(A)):
+            row = A[i]
+            for j in free:
+                x = abs(row[j])
+                if x > piv:
+                    piv, pi, pj = x, i, j
+        if k == 0:
+            tol = RANK_TOL * max(1.0, piv)
+        if piv <= tol:
+            break
+        A[k], A[pi] = A[pi], A[k]
+        top = A[k]
+        pivots.append(pj)
+        free.remove(pj)
+        for row in A[k + 1:]:
+            f = row[pj] / top[pj]
+            if f:
+                for j in free:
+                    row[j] -= f * top[j]
+    return A, pivots + free, len(pivots)
+
+
+def _back_substitute(A, cols, rank, free):
+    """The solution of the first ``rank`` echelon rows that is 1 at column
+    ``free`` and 0 at every other column past the first ``rank``."""
+    x = [0.0] * 4
+    x[free] = 1.0
+    for k in range(rank - 1, -1, -1):
+        row, c = A[k], cols[k]
+        x[c] = -sum(row[j] * x[j] for j in cols[k + 1:]) / row[c]
+    return x
+
+
+def _unit(v):
+    n = math.hypot(*v)
+    return [x / n for x in v]
+
+
+def _intertwiners(p: CommutingPair, q: CommutingPair):
+    """An orthonormal basis (Gram-Schmidt) of the intertwiner space of p
+    and q, one back substitution per column without a pivot, and the unit
+    vector of the system's least-determined direction: the solve that
+    leaves the column of the last pivot free."""
+    A, cols, rank = _eliminate(
+        _sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2))
+    basis = []
+    for j in cols[rank:]:
+        v = _back_substitute(A, cols, rank, j)
+        for u in basis:
+            d = sum(map(mul, u, v))
+            v = [x - d * y for x, y in zip(v, u)]
+        basis.append(_unit(v))
+    return basis, _unit(_back_substitute(A, cols, min(rank, 3), cols[3]))
+
+
+def _jacobi_tangent(app, aqq, apq):
+    """tan of the rotation angle that zeroes apq (Golub and Van Loan,
+    Matrix Computations, section 8.5)."""
+    tau = (aqq - app) / (2.0 * apq)
+    return math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+
+
+def _top_eigenpair(G):
+    """The largest eigenvalue of the symmetric matrix G and a unit
+    eigenvector: in closed form for order 2, else by cyclic Jacobi
+    rotations, until a sweep has nothing left to rotate."""
+    n = len(G)
+    if n == 2:
+        (a, b), (_, d) = G
+        t = _jacobi_tangent(a, d, b) if b else 0.0
+        c = 1.0 / math.hypot(1.0, t)
+        return max((a - t * b, [c, -t * c]), (d + t * b, [t * c, c]))
+    A = [row[:] for row in G]
+    V = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p][q]
+                if abs(apq) <= 1e-17 * (abs(A[p][p]) + abs(A[q][q])):
+                    continue
+                rotated = True
+                t = _jacobi_tangent(A[p][p], A[q][q], apq)
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for M in (A, V):  # columns p and q of A J and of V J
+                    for row in M:
+                        x, y = row[p], row[q]
+                        row[p], row[q] = c * x - s * y, s * x + c * y
+                A[p], A[q] = (  # rows p and q of J^T A J
+                    [c * x - s * y for x, y in zip(A[p], A[q])],
+                    [s * x + c * y for x, y in zip(A[p], A[q])])
+                A[p][q] = A[q][p] = 0.0
+        if not rotated:
+            break
+    k = max(range(n), key=lambda i: A[i][i])
+    return A[k][k], [row[k] for row in V]
+
+
 def _unit_det(s) -> SL2Matrix:
     """The matrix of vec s (det s > 0) rescaled to determinant one."""
-    a, b, c, d = (float(x) for x in s)
+    a, b, c, d = s
     k = 1.0 / math.sqrt(a * d - b * c)
     return SL2Matrix(a * k, b * k, c * k, d * k)
 
@@ -78,13 +196,21 @@ def search_conjugator(
     """Solve for S in SL(2,R) with S^-1 p.U_i S = q.U_i, i = 1, 2.
 
     The two Sylvester equations U_i S - S V_i = 0 stack into one 8x4
-    system M vec S = 0.  Right singular vectors of M whose singular value is
-    at most RANK_TOL * max(1, sigma_max) span the intertwiner space N (for
-    commuting pairs of dimension 0, 2 or 4).  When the largest eigenvalue of
-    the determinant form restricted to N exceeds SIGN_TOL, its eigenvector,
-    mapped back into N and rescaled to det 1, is the conjugator.  Otherwise
-    the pairs are not conjugate, and ``best_S`` is the least-singular vector
-    of M rescaled to det 1 when its det exceeds SIGN_TOL, else the identity.
+    system M vec S = 0, whose entries are converted to floats.  Gaussian
+    elimination with complete pivoting stops at the first pivot of at most
+    RANK_TOL * max(1, largest entry of M); back substitution gives one
+    solution per column left without a pivot, and Gram-Schmidt makes them
+    an orthonormal basis of the intertwiner space N (of dimension 0, 2 or
+    4 for commuting pairs).  When the largest eigenvalue of the
+    determinant form restricted to N (closed form for dimension 2, cyclic
+    Jacobi rotations otherwise) exceeds SIGN_TOL, its eigenvector, mapped
+    back into N and rescaled to det 1, is the conjugator.  Otherwise the
+    pairs are not conjugate, and ``best_S`` is the elimination's
+    least-determined direction, the solve that leaves the column of the
+    last pivot free, rescaled to det 1 when its unit vector's det exceeds
+    SIGN_TOL, else the identity.  This direction replaces the
+    least-singular vector of M, which the earlier singular value
+    decomposition took.
 
     ``residual`` is the largest entry of S^-1 p.U_i S - q.U_i recomputed
     from ``best_S``, and ``converged`` is ``residual <=
@@ -92,19 +218,15 @@ def search_conjugator(
     ``iterations`` is the number of solves (1).  ``budget`` and ``seed`` are
     accepted for compatibility and do not change the result.
     """
-    M = np.array(_sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2),
-                 dtype=float)
-    _, sv, vt = np.linalg.svd(M)
-    null = vt[sv <= RANK_TOL * max(1.0, sv[0])]
-    s = vt[-1]
-    if len(null):
-        w, v = np.linalg.eigh(null @ _DET_FORM @ null.T)
-        if w[-1] > SIGN_TOL:
-            s = v[:, -1] @ null
-    S = _unit_det(s) if s @ _DET_FORM @ s > SIGN_TOL else IDENTITY
-    Si = S.inv()
+    basis, s = _intertwiners(p, q)
+    if basis:
+        lam, v = _top_eigenpair(
+            [[_det_form(x, y) for y in basis] for x in basis])
+        if lam > SIGN_TOL:
+            s = [sum(map(mul, v, col)) for col in zip(*basis)]
+    S = _unit_det(s) if _det_form(s, s) > SIGN_TOL else IDENTITY
     residual = max(
-        (Si @ U @ S).max_abs_diff(V)
+        conjugate(U, S).max_abs_diff(V)
         for U, V in ((p.U1, q.U1), (p.U2, q.U2))
     )
     return ConjugatorSearchReport(

@@ -310,6 +310,27 @@ def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
+@pytest.mark.parametrize("command", ["canon", "equiv"])
+def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
+                                                    command):
+    # the det 1 basis of this Jordan block has a column near 2^1163
+    huge = [[1, [1, 10**700]], [0, 1]]
+    if command == "canon":
+        doc = pair_doc((huge, IDENT), (JORDAN, IDENT))
+    else:
+        doc = equiv_doc((huge, IDENT, JORDAN, IDENT),
+                        (JORDAN, IDENT, JORDAN, IDENT))
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "out.jsonl"
+    assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_DOMAIN
+    bad, good = read_lines(out)
+    assert (bad["error"], bad["detail"]) == \
+        ("INTERNAL_VALIDATION", "witness beyond the float range")
+    assert "error" not in good
+    assert capsys.readouterr().err == ""
+
+
 def rational_rotation(n, sign):
     """The exact rotation with tan(angle / 2) = sign / n."""
     q = n * n + 1

@@ -10,10 +10,13 @@ import pytest
 
 import sl2torus
 from sl2torus import (
+    CommutingPair,
     DeterminantError,
+    SL2Matrix,
     ToleranceConfig,
     apply_conjugation,
     classify,
+    conjugate,
     exact_classify,
     make_pair,
     make_sl2,
@@ -22,9 +25,10 @@ from sl2torus import (
     search_conjugator,
     sl2_from_coords,
 )
-from sl2torus.atlas import random_sl2, sample_sector
+from sl2torus import oracle
+from sl2torus.atlas import random_sl2, sample_params, sample_sector
 from sl2torus.canonical import SECTORS
-from sl2torus.oracle import CONVERGENCE_THRESHOLD, DISTINCT_FLOOR
+from sl2torus.oracle import CONVERGENCE_THRESHOLD, DISTINCT_FLOOR, RANK_TOL
 
 CFG = ToleranceConfig()
 
@@ -148,6 +152,72 @@ def test_search_rejects_det_minus_one_twins(sector, params, twin_params):
             pytest.approx(report.residual, rel=1e-9, abs=1e-15)
 
 
+def test_search_converges_under_large_conjugators():
+    # log-scales up to 4: witnesses of norm up to about 100 and entries of
+    # q up to about 2e4, where a backward-stable solve's residual nears
+    # CONVERGENCE_THRESHOLD (the worst case here is about 8e-9)
+    rng = random.Random(7)
+    worst = (0.0, None)
+    for sector in SECTORS:
+        for _ in range(200):
+            base = reconstruct(sector, sample_params(sector, rng))
+            S = sl2_from_coords(rng.uniform(0, 2 * math.pi),
+                                rng.uniform(-4, 4), rng.uniform(-2, 2))
+            rep = search_conjugator(base, apply_conjugation(base, S))
+            worst = max(worst, (rep.residual, sector))
+    assert worst[0] <= CONVERGENCE_THRESHOLD, worst
+
+
+def _reflected(U, R):
+    """R^-1 F^-1 U F R for F = diag(-1, 1), so det(F R) = -1."""
+    return conjugate(SL2Matrix(U.a, -U.b, -U.c, U.d), R)
+
+
+def _reference_cases():
+    """Planted equivalent, distinct (the next sector's sample) and det -1
+    conjugate pairs of every sector; the last are the det -1 twins, which
+    for BC, CB, CC, BD, DB and DD are not SL(2,R)-conjugate."""
+    rng = random.Random(19)
+    for i, sector in enumerate(SECTORS):
+        base = reconstruct(sector, sample_params(sector, rng))
+        other = SECTORS[(i + 1) % len(SECTORS)]
+        R = random_sl2(rng)
+        yield sector, "equivalent", base, apply_conjugation(base, R)
+        yield sector, "distinct", base, apply_conjugation(
+            reconstruct(other, sample_params(other, rng)), R)
+        yield sector, "det -1", base, CommutingPair(
+            _reflected(base.U1, R), _reflected(base.U2, R))
+
+
+def test_intertwiners_match_numpy_svd():
+    np = pytest.importorskip("numpy")
+    for sector, kind, p, q in _reference_cases():
+        M = np.array(oracle._sylvester_rows(p.U1, q.U1)
+                     + oracle._sylvester_rows(p.U2, q.U2), dtype=float)
+        _, sv, vt = np.linalg.svd(M)
+        ref = vt[sv <= RANK_TOL * max(1.0, sv[0])]
+        basis = np.array(oracle._intertwiners(p, q)[0]).reshape(-1, 4)
+        assert len(basis) == len(ref), (sector, kind, sv)
+        gap = np.abs(basis.T @ basis - ref.T @ ref).max()
+        assert gap <= 1e-8, (sector, kind, gap)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_top_eigenpair_matches_numpy(order):
+    # orders 1 and 3 arise only from degenerate input
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(order)
+    for i in range(200):
+        X = rng.normal(size=(order, order))
+        if i % 4 == 0:  # repeated eigenvalues
+            X = np.diag(rng.integers(-1, 2, size=order)).astype(float)
+        G = (X + X.T) / 2
+        lam, v = oracle._top_eigenpair(G.tolist())
+        assert lam == pytest.approx(np.linalg.eigvalsh(G)[-1], abs=1e-14)
+        assert np.abs(G @ v - lam * np.array(v)).max() <= 1e-14
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+
+
 def fresh_python(code):
     """Standard output of `code` run by a new interpreter."""
     src = str(Path(sl2torus.__file__).resolve().parents[1])
@@ -164,7 +234,8 @@ def test_import_does_not_load_scipy():
     assert fresh_python(code) == "False"
 
 
-@pytest.mark.parametrize("module", ["sl2torus", "sl2torus.cli"])
+@pytest.mark.parametrize("module",
+                         ["sl2torus", "sl2torus.cli", "sl2torus.oracle"])
 def test_import_does_not_load_numpy_or_jsonschema(module):
     code = (f"import sys, {module}; "
             "print([m for m in ('numpy', 'jsonschema') if m in sys.modules])")
