@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .pairs import CommutingPair
 from .sl2 import (
@@ -110,8 +109,21 @@ def _back_substitute(A, cols, rank, free):
     x[free] = 1.0
     for k in range(rank - 1, -1, -1):
         row, c = A[k], cols[k]
-        x[c] = -sum(row[j] * x[j] for j in cols[k + 1:]) / row[c]
+        acc = 0.0  # added from left to right, see _dot
+        for j in cols[k + 1:]:
+            acc += row[j] * x[j]
+        x[c] = -acc / row[c]
     return x
+
+
+def _dot(u, v):
+    """The sum of u[i] * v[i], added from left to right; the built-in sum()
+    of floats is compensated from Python 3.12 on, so it would round
+    differently on different versions."""
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += x * y
+    return acc
 
 
 def _unit(v):
@@ -121,16 +133,18 @@ def _unit(v):
 
 def _intertwiners(p: CommutingPair, q: CommutingPair):
     """An orthonormal basis (Gram-Schmidt) of the intertwiner space of p
-    and q, one back substitution per column without a pivot, and the unit
-    vector of the system's least-determined direction: the solve that
-    leaves the column of the last pivot free."""
+    and q, one back substitution per column without a pivot, and a unit
+    fallback vector.  At rank 4 the fallback is the system's
+    least-determined direction, the solve that leaves the column of the
+    last pivot free; at lower rank it is the last of the back-substituted
+    solutions, before Gram-Schmidt."""
     A, cols, rank = _eliminate(
         _sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2))
     basis = []
     for j in cols[rank:]:
         v = _back_substitute(A, cols, rank, j)
         for u in basis:
-            d = sum(map(mul, u, v))
+            d = _dot(u, v)
             v = [x - d * y for x, y in zip(v, u)]
         basis.append(_unit(v))
     return basis, _unit(_back_substitute(A, cols, min(rank, 3), cols[3]))
@@ -145,14 +159,9 @@ def _jacobi_tangent(app, aqq, apq):
 
 def _top_eigenpair(G):
     """The largest eigenvalue of the symmetric matrix G and a unit
-    eigenvector: in closed form for order 2, else by cyclic Jacobi
-    rotations, until a sweep has nothing left to rotate."""
+    eigenvector, by cyclic Jacobi rotations until a sweep has nothing left
+    to rotate."""
     n = len(G)
-    if n == 2:
-        (a, b), (_, d) = G
-        t = _jacobi_tangent(a, d, b) if b else 0.0
-        c = 1.0 / math.hypot(1.0, t)
-        return max((a - t * b, [c, -t * c]), (d + t * b, [t * c, c]))
     A = [row[:] for row in G]
     V = [[float(i == j) for j in range(n)] for i in range(n)]
     for _ in range(_JACOBI_SWEEPS):
@@ -202,15 +211,17 @@ def search_conjugator(
     solution per column left without a pivot, and Gram-Schmidt makes them
     an orthonormal basis of the intertwiner space N (of dimension 0, 2 or
     4 for commuting pairs).  When the largest eigenvalue of the
-    determinant form restricted to N (closed form for dimension 2, cyclic
-    Jacobi rotations otherwise) exceeds SIGN_TOL, its eigenvector, mapped
-    back into N and rescaled to det 1, is the conjugator.  Otherwise the
-    pairs are not conjugate, and ``best_S`` is the elimination's
-    least-determined direction, the solve that leaves the column of the
-    last pivot free, rescaled to det 1 when its unit vector's det exceeds
-    SIGN_TOL, else the identity.  This direction replaces the
-    least-singular vector of M, which the earlier singular value
-    decomposition took.
+    determinant form restricted to N (cyclic Jacobi rotations) exceeds
+    SIGN_TOL, its eigenvector, mapped back into N and rescaled to det 1, is
+    the conjugator.  Otherwise the pairs are not conjugate, and ``best_S``
+    is a fallback unit vector rescaled to det 1 when its det exceeds
+    SIGN_TOL, else the identity.  When M has rank 4 (N = 0) the fallback is
+    the elimination's least-determined direction, the solve that leaves
+    the column of the last pivot free.  At lower rank it is the last
+    back-substituted solution before Gram-Schmidt; it lies in N, so its
+    det is at most the largest eigenvalue (up to rounding), and ``best_S``
+    is the identity.  This fallback replaces the least-singular vector of
+    M, which the earlier singular value decomposition took.
 
     ``residual`` is the largest entry of S^-1 p.U_i S - q.U_i recomputed
     from ``best_S``, and ``converged`` is ``residual <=
@@ -223,7 +234,7 @@ def search_conjugator(
         lam, v = _top_eigenpair(
             [[_det_form(x, y) for y in basis] for x in basis])
         if lam > SIGN_TOL:
-            s = [sum(map(mul, v, col)) for col in zip(*basis)]
+            s = [_dot(v, col) for col in zip(*basis)]
     S = _unit_det(s) if _det_form(s, s) > SIGN_TOL else IDENTITY
     residual = max(
         conjugate(U, S).max_abs_diff(V)
