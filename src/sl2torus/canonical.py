@@ -10,16 +10,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
-from .pairs import CommutingPair, spectral_types
+from .pairs import CommutingPair
 from .sl2 import (
     DEFAULT_TOL,
     IDENTITY,
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
+    classify,
     conjugate,
     is_exact,
     rotation,
+    scalar_band,
 )
 
 SECTORS = ("AA1", "AA2", "AB", "BA", "BB", "BC", "CB", "BD", "DB", "CC", "DD")
@@ -162,8 +164,8 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 
 # ---------------------------------------------------------------------------
-# one construction per spectral family of U1: hyperbolic (A), parabolic (C)
-# or elliptic (D); U2 is of the same family or scalar (B)
+# one construction per spectral family of the pivot P (A, C or D); its
+# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2
 # ---------------------------------------------------------------------------
 
 
@@ -172,25 +174,29 @@ def _columns(v, w) -> SL2Matrix:
 
 
 def _det2(v, w):
-    return v[0] * w[1] - v[1] * w[0]
+    """det(v, w); SL2TorusError when v and w are parallel."""
+    d = v[0] * w[1] - v[1] * w[0]
+    if d == 0:
+        raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
+    return d
 
 
-def _canon_A(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig):
-    v, w = t1.basis  # small-|eigenvalue| direction first
+def _canon_A(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+    lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
+    if xy:
+        x, y = xy
+        # AA1 if O also contracts v, else AA2, whose mu is O's eigenvalue on w
+        aa1 = abs(x + y * lam) < 1.0
+        mu = x + y * lam if aa1 else x + y / lam
+        if swap:  # O is U1, and its contracting direction comes first
+            lam, mu, v, w = (mu, lam, v, w) if aa1 else (mu, lam, w, v)
     # w rescaled so that the column matrix has det 1
     d = _det2(v, w)
     S = _columns(v, (w[0] / d, w[1] / d))
     sgn = 1 if d > 0 else -1
-    lam = conjugate(p.U1, S).a
-    if t2.tag == "B":
-        return "AB", {"lam": lam, "eps2": t2.eps}, S, None, sgn
-    C2 = conjugate(p.U2, S)
-    # AA1 if U2 also contracts the first direction, else AA2, whose mu is
-    # the eigenvalue of U2 on the second
-    if abs(C2.a) < 1.0:
-        return "AA1", {"lam": lam, "mu": C2.a}, S, None, sgn
-    return "AA2", {"lam": lam, "mu": C2.d}, S, None, sgn
+    if not xy:
+        return "AB", {"lam": lam}, S, None, sgn
+    return "AA1" if aa1 else "AA2", {"lam": lam, "mu": mu}, S, None, sgn
 
 
 def _unit_basis(v, w):
@@ -200,8 +206,6 @@ def _unit_basis(v, w):
     the float range."""
     try:
         d = _det2(v, w)
-        if d == 0:
-            raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
         sgn = 1 if d > 0 else -1
         if sgn < 0:
             v, d = (-v[0], -v[1]), -d
@@ -211,97 +215,95 @@ def _unit_basis(v, w):
         raise SL2TorusError("witness beyond the float range") from None
 
 
-def _canon_C(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig):
-    v1, w = t1.basis
-    if t2.tag == "B":
+def _canon_C(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+    v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
+    if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
         # sign flips and the two signs are not related by any
         # unit-determinant conjugation
         S, sgn = _unit_basis(v1, w)
-        return "CB", {"eps1": t1.eps, "eps2": t2.eps, "eps3": sgn}, S, None, sgn
-    d = _det2(v1, w)
-    sgn = 1 if d > 0 else -1
-    # U2 w - eps2 w = c * v1 for some c != 0
-    rw = (
-        p.U2.a * w[0] + p.U2.b * w[1] - t2.eps * w[0],
-        p.U2.c * w[0] + p.U2.d * w[1] - t2.eps * w[1],
-    )
-    nv = v1[0] * v1[0] + v1[1] * v1[1]
-    c = (rw[0] * v1[0] + rw[1] * v1[1]) / nv
-    if abs(c) <= cfg.param_tol:
-        raise DegenerateCC(f"coupling scalar {c!r} vanishes within tolerance")
+        return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
+    x, y = xy
+    # O w = y v1 + eps_o w, and c is the coupling U2 w - eps2 w = c v1 in
+    # U1's basis, which is (y v1, w) when U1 is O
+    if abs(y) <= (0 if swap else cfg.param_tol):
+        raise DegenerateCC(f"coupling scalar {y!r} vanishes within tolerance")
+    eps1, eps2, c = t.eps, (1 if x + y * t.eps > 0 else -1), y
+    if swap:
+        v1, eps1, eps2, c = (y * v1[0], y * v1[1]), eps2, eps1, 1 / y
+    sgn = 1 if _det2(v1, w) > 0 else -1
     base = math.atan(c)  # in (-pi/2, pi/2), cos > 0
     if sgn > 0:
         alpha = base if base > 0 else base + _TWO_PI
     else:
         alpha = base + math.pi
     cos_a = math.cos(alpha)
-    # det(v1 / cos(alpha), w) = d / cos(alpha) > 0
+    # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
     S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
-    return "CC", {"eps1": t1.eps, "eps2": t2.eps, "alpha": alpha}, S, c, sgn
+    return "CC", {"eps1": eps1, "eps2": eps2, "alpha": alpha}, S, c, sgn
 
 
-def _rotation_angle(C: SL2Matrix) -> float:
-    ang = math.atan2(C.c, C.a)
+def _rotation_angle(si, co) -> float:
+    ang = math.atan2(si, co)
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def _canon_D(p: CommutingPair, t1: SpectralType, t2: SpectralType,
-             cfg: ToleranceConfig):
-    x, y = t1.basis
+def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
-    S, sgn = _unit_basis(x, y)
-    theta = _rotation_angle(conjugate(p.U1, S))
-    if t2.tag == "B":
-        return "DB", {"theta": theta, "eps2": t2.eps}, S, None, sgn
-    # joint eigenvector of U1, validated against U2
-    u = (complex(x[0], y[0]) / 2, complex(x[1], y[1]) / 2)
-    i = 0 if abs(u[0]) >= abs(u[1]) else 1
-    im = (
-        p.U2.a * u[0] + p.U2.b * u[1],
-        p.U2.c * u[0] + p.U2.d * u[1],
-    )
-    mu = im[i] / u[i]
-    resid = max(abs(im[0] - mu * u[0]), abs(im[1] - mu * u[1]))
-    if resid > 10.0 * cfg.class_tol * max(1.0, abs(u[0]), abs(u[1])):
-        raise SL2TorusError(
-            f"joint eigenvector validation failed, residual {resid:.3e}"
-        )
-    phi = _rotation_angle(conjugate(p.U2, S))
+    S, sgn = _unit_basis(*t.basis)
+    R = conjugate(P, S)  # the rotation by P's angle
+    theta = _rotation_angle(R.c, R.a)
+    if not xy:
+        return "DB", {"theta": theta}, S, None, sgn
+    x, y = xy
+    phi = _rotation_angle(y * R.c, x + y * R.a)  # arg(x + y exp(i theta))
+    if swap:  # U1's own basis has its first vector negated when y < 0
+        theta, phi, sgn = phi, theta, -sgn if y < 0 else sgn
     return "DD", {"theta": theta, "phi": phi}, S, None, sgn
 
 
-# keyed by the tag of U1; each returns (sector, params, witness, c, sign of
-# det S' before repair)
-_FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D}
+# keyed by the tag of the pivot; each returns (sector, params, witness, c,
+# sign of det S' before repair), with a scalar O as if P were U1 and O's
+# eps2 left out
+_FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D,
+           "B": lambda P, t, *_: ("BB", {"eps1": t.eps}, IDENTITY, None, None)}
 
 # BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
 # conjugation commutes with the exchange, so one witness serves both
-_MIRROR = {"AB": "BA", "CB": "BC", "DB": "BD"}
+_MIRROR = {"AB": "BA", "BB": "BB", "CB": "BC", "DB": "BD"}
 _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
                  "lam": "mu", "theta": "phi"}
 
 
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
-    """Sector, parameters and witness of p.  Each matrix is classified once;
-    the construction of the non-scalar matrix's family receives the two
-    spectral types."""
-    t1, t2 = spectral_types(p, cfg)
-    if t1.tag == t2.tag == "B":
-        result = CanonicalPair(
-            "BB", {"eps1": t1.eps, "eps2": t2.eps}, IDENTITY,
-            CanonTrace(branch_notes=("BB trivial",)),
-        )
-    else:
-        if t1.tag == "B":
-            sector, params, S, c, sgn = _FAMILY[t2.tag](
-                CommutingPair(p.U2, p.U1), t2, t1, cfg)
+    """Sector, parameters and witness of p.  Only the pivot P, the matrix
+    whose traceless part ((a - d)/2, b, c) has the larger entry, is
+    classified.  Its partner O is B by classify's test, or else O = xI + yP
+    (Horn & Johnson, 3.2.4), with y the ratio of the traceless parts at
+    P's largest entry, which cannot overflow as a squared norm can."""
+    h1, h2 = (((U.a - U.d) / 2, U.b, U.c) for U in (p.U1, p.U2))
+    swap = max(map(abs, h2)) > max(map(abs, h1))
+    P, O, hP, hO = (p.U2, p.U1, h2, h1) if swap else (p.U1, p.U2, h1, h2)
+    eps_o, o_scalar = scalar_band(O, cfg)
+    t = classify(P, cfg)
+    if t.tag == "B" and not o_scalar:
+        # only with det_tol well above class_tol: O becomes the pivot
+        P, t, eps_o, o_scalar, swap = O, classify(O, cfg), t.eps, True, not swap
+    xy = None
+    if not o_scalar:
+        k = max(range(3), key=lambda i: abs(hP[i]))
+        if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
+            raise SL2TorusError(f"basis of scalar {P!r} is degenerate")
+        y = hO[k] / hP[k]
+        xy = ((O.trace() - y * P.trace()) / 2, y)
+    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, cfg)
+    if o_scalar:
+        params["eps2"] = eps_o
+        if swap:
             sector = _MIRROR[sector]
             params = {_MIRROR_PARAM[k]: v for k, v in params.items()}
-        else:
-            sector, params, S, c, sgn = _FAMILY[t1.tag](p, t1, t2, cfg)
-        result = CanonicalPair(sector, params, S, CanonTrace(c, sgn, (sector,)))
+    notes = ("BB trivial",) if sector == "BB" else (sector,)
+    result = CanonicalPair(sector, params, S, CanonTrace(c, sgn, notes))
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)

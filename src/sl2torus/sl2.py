@@ -221,6 +221,22 @@ class SpectralType:
     basis: tuple = field(default=())
 
 
+def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
+    """classify's B test: (eps, scalar), eps the sign of tr U inside the
+    |tr| = 2 band, else None, and whether U is then eps*I within tolerance."""
+    tol = 0 if is_exact(U) else cfg.class_tol
+    t = U.trace()
+    if not abs(abs(t) - 2) <= tol:
+        return None, False
+    eps = 1 if t > 0 else -1
+    dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
+    if tol < dev < AMBIG_FACTOR * tol:
+        raise ClassificationAmbiguous(
+            f"scalar deviation {dev:.3e} in the unresolved band"
+        )
+    return eps, dev <= tol
+
+
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     """Spectral type of U and its normal-form basis.  On an exact matrix the
     tolerance is 0, so the |tr| = 2 tests are exact and
@@ -240,15 +256,10 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
         return SpectralType("A", lam=lam, basis=(v_small, v_big))
-    if abs(abs(t) - 2) <= tol:
-        eps = 1 if t > 0 else -1
-        dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
-        if dev <= tol:
-            return SpectralType("B", eps=eps)
-        if dev < AMBIG_FACTOR * tol:
-            raise ClassificationAmbiguous(
-                f"scalar deviation {dev:.3e} in the unresolved band"
-            )
+    eps, scalar = scalar_band(U, cfg)
+    if scalar:
+        return SpectralType("B", eps=eps)
+    if eps is not None:
         return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
     # elliptic
     co = max(-1.0, min(1.0, t / 2.0))

@@ -21,8 +21,22 @@ from sl2torus import (
     rotation,
     sl2_from_coords,
 )
-from sl2torus.atlas import random_sl2, sample_params, sample_sector
-from sl2torus.canonical import SECTOR_CONTINUOUS, SECTORS, _unit_basis
+from sl2torus.atlas import (
+    cells,
+    depiction_component,
+    incidence,
+    random_sl2,
+    sample_params,
+    sample_sector,
+)
+from sl2torus.canonical import (
+    AXIS_COMPONENTS,
+    SECTOR_CONTINUOUS,
+    SECTORS,
+    CanonicalPair,
+    _unit_basis,
+    component_index,
+)
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
@@ -416,6 +430,87 @@ def test_degenerate_cc_raises():
     U2 = make_sl2(1, 1e-8, 0, 1)
     with pytest.raises(DegenerateCC):
         canonicalize(pair(U1, U2), CFG)
+
+
+# --- the pivot and its partner xI + yP -------------------------------------
+
+
+def _boundary_walk_cases():
+    """(sector, cell point, parameter, end, inward step sign) for every
+    (cell, parameter, end) of AA1, AA2 and DD, in the order of incidence(),
+    with the end at +-1, 0, pi or 2 pi: the lam/mu -> 0 ends are left out."""
+    cases = []
+    for sector in ("AA1", "AA2", "DD"):
+        for point in cells(sector):
+            for name in SECTOR_CONTINUOUS[sector]:
+                k = component_index(name, point[name])
+                lo, hi = AXIS_COMPONENTS[name][k]
+                for end, step in ((lo, 1), (hi, -1)):
+                    if end != 0.0 or name in ("theta", "phi"):
+                        cases.append((sector, point, name, end, step))
+    return cases
+
+
+def _entries(U):
+    return U.a, U.b, U.c, U.d
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-7])
+def test_boundary_walk_near_scalar_partner(delta):
+    # a partner within delta of +-I is read off the pivot, not classified
+    # on its own inside the |tr| = 2 band
+    cases = _boundary_walk_cases()
+    walked = sorted(
+        (depiction_component(CanonicalPair(s, pt, I)), f"{name} -> {end:g}")
+        for s, pt, name, end, _ in cases)
+    assert walked == sorted(
+        (cell, note) for cell, _, note in incidence().entries
+        if cell.split(":")[0] in ("AA1", "AA2", "DD")
+        and note not in ("lam -> 0", "mu -> 0"))
+    rng = random.Random(3)
+    for sector, point, name, end, step in cases:
+        params = {**point, name: end + step * delta}
+        base = reconstruct(sector, params)
+        for _ in range(4):
+            S = sl2_from_coords(rng.uniform(0.0, 2 * math.pi),
+                                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            q = apply_conjugation(base, S)
+            c = canonicalize(make_pair(make_sl2(*_entries(q.U1)),
+                                       make_sl2(*_entries(q.U2))))
+            assert c.sector == sector, params
+            for k, v in params.items():
+                assert abs(c.params[k] - v) <= CFG.param_tol, (params, k)
+
+
+@pytest.mark.parametrize("sector", ["AA1", "AA2", "CC", "DD"])
+def test_trace_sign_is_u1_basis_sign(sector):
+    # det_sprime_sign is the sign of U1's own basis, whichever matrix is
+    # the pivot: the same as with U1 beside a scalar
+    for seed in range(400):
+        p = sample_sector(sector, seed)
+        scalar = I if seed % 2 else NEG_I
+        both = canonicalize(make_pair(p.U1, p.U2, CFG), CFG)
+        alone = canonicalize(make_pair(p.U1, scalar, CFG), CFG)
+        assert both.trace.det_sprime_sign == alone.trace.det_sprime_sign, seed
+
+
+def test_partner_read_off_entries_near_float_range():
+    # the squares of these entries overflow a float
+    U = SL2Matrix(0.0, 1.4e154, -1 / 1.4e154, 0.0)
+    V = SL2Matrix(0.0, -1.4e154, 1 / 1.4e154, 0.0)
+    assert_params(canonicalize(pair(U, U)),
+                  {"theta": 1.5 * math.pi, "phi": 1.5 * math.pi})
+    assert_params(canonicalize(pair(U, V)),
+                  {"theta": 1.5 * math.pi, "phi": 0.5 * math.pi})
+
+
+def test_scalar_pivot_off_unit_determinant_is_degenerate():
+    # with det_tol 1e-6, 1.0000004 * I is not B but has no normal-form basis
+    cfg = ToleranceConfig(det_tol=1e-6)
+    U = make_sl2(1.0000004, 0, 0, 1.0000004, cfg)
+    with pytest.raises(SL2TorusError, match="degenerate") as exc:
+        canonicalize(make_pair(U, U, cfg), cfg)
+    assert type(exc.value) is SL2TorusError
 
 
 # --- exact input ----------------------------------------------------------

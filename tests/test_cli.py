@@ -396,15 +396,24 @@ def test_classify_rational_angle_below_cosine_resolution(tmp_path):
 
 
 def test_internal_validation_error_code(tmp_path):
-    # the commutator (8.4e-10) passes comm_tol, but no witness reproduces
-    # the canonical DD form within tolerance
+    # the commutator (8.4e-10) passes comm_tol; the near-scalar U1 is read
+    # off the pivot U2 as xI + yU2, so the pair is DD
     U1 = rotation(1e-4)
     U2 = conjugate(rotation(1.0), SL2Matrix(1.0, 5e-6, 0.0, 1.0))
-    inp = write_doc(tmp_path,
-                    pair_doc((U1.entries(), U2.entries()), (DIAG, DIAG2)))
+    # a nearly commuting pair of a parabolic U1 and a hyperbolic U2: no
+    # witness reproduces the canonical form read off the pivot U2
+    C1 = [[0.26762243637792693, -1.3981695701289762],
+          [0.38362792836889215, 1.7323775636220722]]
+    A2 = [[13.643716773922394, 24.137904986854938],
+          [-6.622926633989956, -11.64371677150326]]
+    inp = write_doc(tmp_path, pair_doc((U1.entries(), U2.entries()),
+                                       (C1, A2), (DIAG, DIAG2)))
     out = tmp_path / "out.jsonl"
     assert main(["canon", inp, "--out", str(out)]) == EXIT_DOMAIN
-    bad, good = read_lines(out)
+    dd, bad, good = read_lines(out)
+    assert dd["sector"] == "DD"
+    assert dd["params"]["theta"] == pytest.approx(1e-4, abs=1e-12)
+    assert dd["params"]["phi"] == pytest.approx(1.0, abs=1e-12)
     assert bad["error"] == "INTERNAL_VALIDATION"
     assert "validation failed" in bad["detail"]
     assert good["sector"] == "AA1"
@@ -422,6 +431,24 @@ def test_degenerate_basis_is_record_error(tmp_path, capsys):
     assert "degenerate" in bad["detail"]
     assert good["sector"] == "AA1"
     assert capsys.readouterr().err == ""
+
+
+def test_degenerate_eigenbasis_is_record_error(tmp_path, capsys):
+    # with det_tol 1e-6, 1.0000004 * I is hyperbolic, and both of its
+    # eigendirections come out the same
+    bad = (IDENT, [[1.0000004, 0], [0, 1.0000004]])
+    docs = (("canon", pair_doc(bad, (DIAG, DIAG2))),
+            ("equiv", equiv_doc(bad + bad, (DIAG, DIAG2, DIAG, DIAG2))))
+    for cmd, doc in docs:
+        inp = write_doc(tmp_path, doc)
+        out = tmp_path / "out.jsonl"
+        assert main([cmd, inp, "--out", str(out), "--det-tol", "1e-6"]) \
+            == EXIT_DOMAIN
+        err, good = read_lines(out)
+        assert err["error"] == "INTERNAL_VALIDATION"
+        assert "degenerate" in err["detail"]
+        assert "error" not in good
+        assert capsys.readouterr().err == ""
 
 
 # The exact CC pair with off-diagonals 1e-12 and 2e-12: float arithmetic
