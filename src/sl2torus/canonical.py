@@ -13,7 +13,6 @@ from .errors import DegenerateCC, ParamOutOfRange, SL2TorusError
 from .pairs import CommutingPair
 from .sl2 import (
     DEFAULT_TOL,
-    IDENTITY,
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
@@ -73,7 +72,7 @@ AXIS_COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CanonTrace:
     """Audit record of the constructive steps that produced a canonical form.
 
@@ -85,7 +84,7 @@ class CanonTrace:
     branch_notes: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CanonicalPair:
     sector: str
     params: dict
@@ -264,9 +263,11 @@ def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
 
 # keyed by the tag of the pivot; each returns (sector, params, witness, c,
 # sign of det S' before repair), with a scalar O as if P were U1 and O's
-# eps2 left out
+# eps2 left out; the BB witness is a new identity, not sl2.IDENTITY, which
+# a caller could change through the answer
 _FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D,
-           "B": lambda P, t, *_: ("BB", {"eps1": t.eps}, IDENTITY, None, None)}
+           "B": lambda P, t, *_: ("BB", {"eps1": t.eps},
+                                  SL2Matrix(1.0, 0.0, 0.0, 1.0), None, None)}
 
 # BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
 # conjugation commutes with the exchange, so one witness serves both

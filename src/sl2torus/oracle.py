@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .pairs import CommutingPair
 from .sl2 import (
-    IDENTITY,
     SL2Matrix,
     SpectralType,
     classify,
@@ -235,7 +234,8 @@ def search_conjugator(
             [[_det_form(x, y) for y in basis] for x in basis])
         if lam > SIGN_TOL:
             s = [_dot(v, col) for col in zip(*basis)]
-    S = _unit_det(s) if _det_form(s, s) > SIGN_TOL else IDENTITY
+    S = (_unit_det(s) if _det_form(s, s) > SIGN_TOL
+         else SL2Matrix(1.0, 0.0, 0.0, 1.0))  # a new one, not sl2.IDENTITY
     residual = max(
         conjugate(U, S).max_abs_diff(V)
         for U, V in ((p.U1, q.U1), (p.U2, q.U2))

@@ -24,7 +24,7 @@ ALLOWED_COMBOS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommutingPair:
     U1: SL2Matrix
     U2: SL2Matrix

@@ -44,10 +44,15 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SL2Matrix:
     """Row-major 2x2 real matrix; construction via make_sl2 enforces det = 1.
-    The entries are floats, or all Fractions for an exact matrix."""
+    The entries are floats, or all Fractions for an exact matrix.
+
+    Like the pair, spectral-type and canonical-form objects, it is a
+    slotted dataclass: it compares by value and cannot be hashed.  The
+    package never changes one after building it, and callers should treat
+    it as read-only.  ``ToleranceConfig`` stays frozen."""
 
     a: float
     b: float
@@ -208,7 +213,7 @@ def _parabolic_basis(U: SL2Matrix, eps):
     return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpectralType:
     tag: str  # "A" | "B" | "C" | "D"
     lam: float | None = None       # A: signed eigenvalue, 0 < |lam| < 1

@@ -37,6 +37,7 @@ from sl2torus.canonical import (
     _unit_basis,
     component_index,
 )
+from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
@@ -108,6 +109,10 @@ def test_bb_mixed_signs():
     c = canonicalize(pair(NEG_I, I))
     assert c.sector == "BB"
     assert_params(c, {"eps1": -1, "eps2": 1})
+    # the witness can be changed in place, so it must not be the shared
+    # constant, which every later BB answer would then carry
+    assert c.witness == IDENTITY
+    assert c.witness is not IDENTITY
 
 
 def test_ba_conjugated():

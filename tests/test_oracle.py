@@ -29,6 +29,7 @@ from sl2torus import oracle
 from sl2torus.atlas import random_sl2, sample_params, sample_sector
 from sl2torus.canonical import SECTORS
 from sl2torus.oracle import CONVERGENCE_THRESHOLD, DISTINCT_FLOOR, RANK_TOL
+from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
 
@@ -80,6 +81,10 @@ def test_search_different_sectors_fails():
     q = make_pair(make_sl2(1, 0, 0, 1), make_sl2(1, -1, 0, 1))
     report = search_conjugator(p, q, seed=3)
     assert not report.converged
+    # every intertwiner has det <= 0, so best_S falls back to the identity,
+    # which must not be the shared constant
+    assert report.best_S == IDENTITY
+    assert report.best_S is not IDENTITY
 
 
 def test_search_deterministic():

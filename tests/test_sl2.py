@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 
 import pytest
@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2torus import (
+    CanonicalPair,
+    CanonTrace,
     ClassificationAmbiguous,
+    CommutingPair,
     DeterminantError,
     NoRealEigenvalues,
     ParamOutOfRange,
     SL2Matrix,
+    SpectralType,
     ToleranceConfig,
     classify,
     conjugate,
@@ -22,7 +26,7 @@ from sl2torus import (
     sl2_from_coords,
     trace_class,
 )
-from sl2torus.sl2 import commutator_norm, is_exact
+from sl2torus.sl2 import DEFAULT_TOL, commutator_norm, is_exact
 
 CFG = ToleranceConfig()
 
@@ -290,6 +294,28 @@ def test_tolerance_config_rejects_nonpositive():
 def test_tolerance_config_rejects_non_finite_and_nonpositive(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and above 0"):
         ToleranceConfig(**{name: value})
+
+
+# --- representation of the per-pair value types ---------------------------
+
+_I = SL2Matrix(1.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("obj", [
+    _I, SpectralType("B", eps=1), CommutingPair(_I, _I), CanonTrace(),
+    CanonicalPair("BB", {"eps1": 1, "eps2": 1}, _I),
+], ids=lambda obj: type(obj).__name__)
+def test_per_pair_types_are_slotted(obj):
+    # built several times per canonicalization; a frozen dataclass sets
+    # every field through object.__setattr__, a large share of the time
+    # canonicalize takes
+    assert "__slots__" in vars(type(obj))
+    assert not hasattr(obj, "__dict__")
+
+
+def test_default_tolerances_stay_frozen():
+    with pytest.raises(FrozenInstanceError):
+        DEFAULT_TOL.class_tol = 1.0
 
 
 # --- the fused kernels against the products they replace -------------------
