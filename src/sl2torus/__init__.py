@@ -8,7 +8,6 @@ from .errors import (
     DegenerateCC,
     DeterminantError,
     ForbiddenCombo,
-    NoRealEigenvalues,
     NotCommuting,
     ParamOutOfRange,
     SL2TorusError,
@@ -20,7 +19,6 @@ from .sl2 import (
     ToleranceConfig,
     classify,
     conjugate,
-    eigen_data,
     make_sl2,
     rotation,
     sl2_from_coords,

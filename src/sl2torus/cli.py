@@ -39,7 +39,7 @@ from .errors import (
 )
 from .figures import FIGURES, figure_rows, rows_to_csv, rows_to_svg
 from .pairs import make_pair, spectral_types
-from .sl2 import ToleranceConfig, is_exact, make_sl2
+from .sl2 import ToleranceConfig, is_exact, make_sl2, trace_class
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -243,9 +243,8 @@ def _canon_record(rec, where, mode, cfg):
             exact["c"] = [c.numerator, c.denominator]
             exact["det_sprime_sign"] = result.trace.det_sprime_sign
         for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
-            tr = U.trace()
-            if abs(tr) < 2:  # elliptic
-                co = tr / 2
+            if trace_class(U, cfg) == "elliptic":
+                co = U.trace() / 2
                 exact[key] = [co.numerator, co.denominator]
         if exact:
             out["exact"] = exact

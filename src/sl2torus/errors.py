@@ -21,10 +21,6 @@ class ClassificationAmbiguous(SL2TorusError):
         super().__init__(f"classification ambiguous near |tr| = 2: {detail}")
 
 
-class NoRealEigenvalues(SL2TorusError):
-    """Eigen data requested for an elliptic (type D) matrix."""
-
-
 class NotCommuting(SL2TorusError):
     """The two matrices do not commute within tolerance."""
 

@@ -132,11 +132,8 @@ def _unit(v):
 
 def _intertwiners(p: CommutingPair, q: CommutingPair):
     """An orthonormal basis (Gram-Schmidt) of the intertwiner space of p
-    and q, one back substitution per column without a pivot, and a unit
-    fallback vector.  At rank 4 the fallback is the system's
-    least-determined direction, the solve that leaves the column of the
-    last pivot free; at lower rank it is the last of the back-substituted
-    solutions, before Gram-Schmidt."""
+    and q, from one back substitution per column without a pivot; empty at
+    rank 4."""
     A, cols, rank = _eliminate(
         _sylvester_rows(p.U1, q.U1) + _sylvester_rows(p.U2, q.U2))
     basis = []
@@ -146,7 +143,7 @@ def _intertwiners(p: CommutingPair, q: CommutingPair):
             d = _dot(u, v)
             v = [x - d * y for x, y in zip(v, u)]
         basis.append(_unit(v))
-    return basis, _unit(_back_substitute(A, cols, min(rank, 3), cols[3]))
+    return basis
 
 
 def _jacobi_tangent(app, aqq, apq):
@@ -212,15 +209,8 @@ def search_conjugator(
     4 for commuting pairs).  When the largest eigenvalue of the
     determinant form restricted to N (cyclic Jacobi rotations) exceeds
     SIGN_TOL, its eigenvector, mapped back into N and rescaled to det 1, is
-    the conjugator.  Otherwise the pairs are not conjugate, and ``best_S``
-    is a fallback unit vector rescaled to det 1 when its det exceeds
-    SIGN_TOL, else the identity.  When M has rank 4 (N = 0) the fallback is
-    the elimination's least-determined direction, the solve that leaves
-    the column of the last pivot free.  At lower rank it is the last
-    back-substituted solution before Gram-Schmidt; it lies in N, so its
-    det is at most the largest eigenvalue (up to rounding), and ``best_S``
-    is the identity.  This fallback replaces the least-singular vector of
-    M, which the earlier singular value decomposition took.
+    the conjugator ``best_S``.  Otherwise the pairs are not conjugate, and
+    ``best_S`` is the identity.
 
     ``residual`` is the largest entry of S^-1 p.U_i S - q.U_i recomputed
     from ``best_S``, and ``converged`` is ``residual <=
@@ -228,14 +218,13 @@ def search_conjugator(
     ``iterations`` is the number of solves (1).  ``budget`` and ``seed`` are
     accepted for compatibility and do not change the result.
     """
-    basis, s = _intertwiners(p, q)
+    basis = _intertwiners(p, q)
+    S = SL2Matrix(1.0, 0.0, 0.0, 1.0)  # a new one, not sl2.IDENTITY
     if basis:
         lam, v = _top_eigenpair(
             [[_det_form(x, y) for y in basis] for x in basis])
         if lam > SIGN_TOL:
-            s = [_dot(v, col) for col in zip(*basis)]
-    S = (_unit_det(s) if _det_form(s, s) > SIGN_TOL
-         else SL2Matrix(1.0, 0.0, 0.0, 1.0))  # a new one, not sl2.IDENTITY
+            S = _unit_det([_dot(v, col) for col in zip(*basis)])
     residual = max(
         conjugate(U, S).max_abs_diff(V)
         for U, V in ((p.U1, q.U1), (p.U2, q.U2))

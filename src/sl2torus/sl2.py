@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import (
     ClassificationAmbiguous,
     DeterminantError,
-    NoRealEigenvalues,
     ParamOutOfRange,
 )
 
@@ -171,23 +170,19 @@ def binary_exponent(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _normalize_direction(v):
-    n = math.hypot(v[0], v[1])
-    if n == 0.0:
-        raise ValueError("zero eigendirection")
-    x, y = v[0] / n, v[1] / n
-    # sign convention: first nonzero component positive
-    if x < 0 or (abs(x) < 1e-14 and y < 0):
-        x, y = -x, -y
-    return (x, y)
-
-
 def _real_eigendirection(U: SL2Matrix, lam: float):
     """Unit kernel vector of U - lam*I, sign-normalized."""
     r1 = (U.a - lam, U.b)
     r2 = (U.c, U.d - lam)
     row = r1 if math.hypot(*r1) >= math.hypot(*r2) else r2
-    return _normalize_direction((row[1], -row[0]))
+    n = math.hypot(row[1], -row[0])
+    if n == 0.0:
+        raise ValueError("zero eigendirection")
+    x, y = row[1] / n, -row[0] / n
+    # sign convention: first nonzero component positive
+    if x < 0 or (abs(x) < 1e-14 and y < 0):
+        x, y = -x, -y
+    return (x, y)
 
 
 def _parabolic_basis(U: SL2Matrix, eps):
@@ -226,14 +221,23 @@ class SpectralType:
     basis: tuple = field(default=())
 
 
-def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
-    """classify's B test: (eps, scalar), eps the sign of tr U inside the
-    |tr| = 2 band, else None, and whether U is then eps*I within tolerance."""
+def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
+    """The one |tr| = 2 band decision, which classify and scalar_band read:
+    with off = |tr U| - 2, parabolic when |off| <= class_tol (0 on an exact
+    matrix), else hyperbolic when off > 0 and elliptic when off < 0.  For
+    |tr| in [1, 4], off is exact in floats (Sterbenz), and so is its sign."""
+    off = abs(U.trace()) - 2
+    if abs(off) <= (0 if is_exact(U) else cfg.class_tol):
+        return "parabolic"
+    return "hyperbolic" if off > 0 else "elliptic"
+
+
+def _scalar_test(U: SL2Matrix, cfg: ToleranceConfig):
+    """(eps, scalar) for U in the parabolic band: eps the sign of tr U, and
+    whether U is eps*I within class_tol; ClassificationAmbiguous between
+    class_tol and AMBIG_FACTOR * class_tol."""
     tol = 0 if is_exact(U) else cfg.class_tol
-    t = U.trace()
-    if not abs(abs(t) - 2) <= tol:
-        return None, False
-    eps = 1 if t > 0 else -1
+    eps = 1 if U.trace() > 0 else -1
     dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
     if tol < dev < AMBIG_FACTOR * tol:
         raise ClassificationAmbiguous(
@@ -242,14 +246,24 @@ def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
     return eps, dev <= tol
 
 
+def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
+    """classify's B test: (eps, scalar), eps the sign of tr U when
+    trace_class says parabolic, else None, and whether U is then eps*I
+    within tolerance."""
+    if trace_class(U, cfg) != "parabolic":
+        return None, False
+    return _scalar_test(U, cfg)
+
+
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
-    """Spectral type of U and its normal-form basis.  On an exact matrix the
-    tolerance is 0, so the |tr| = 2 tests are exact and
-    ClassificationAmbiguous cannot occur.  Integer constants keep Fraction
-    arithmetic exact up to the square roots and the final float results."""
-    tol = 0 if is_exact(U) else cfg.class_tol
+    """Spectral type of U and its normal-form basis, in the family that
+    trace_class names.  On an exact matrix the tolerance is 0, so the
+    |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
+    Integer constants keep Fraction arithmetic exact up to the square roots
+    and the final float results."""
+    band = trace_class(U, cfg)
     t = U.trace()
-    if abs(t) > 2 + tol:
+    if band == "hyperbolic":
         # the large-modulus root has no cancellation and t*t cannot
         # overflow; the small one is its inverse, since det = 1
         s = abs(t)
@@ -261,10 +275,10 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         v_small = _real_eigendirection(U, lam)
         v_big = _real_eigendirection(U, lam_inv)
         return SpectralType("A", lam=lam, basis=(v_small, v_big))
-    eps, scalar = scalar_band(U, cfg)
-    if scalar:
-        return SpectralType("B", eps=eps)
-    if eps is not None:
+    if band == "parabolic":
+        eps, scalar = _scalar_test(U, cfg)
+        if scalar:
+            return SpectralType("B", eps=eps)
         return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
     # elliptic
     co = max(-1.0, min(1.0, t / 2.0))
@@ -288,41 +302,3 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         (2.0 * u[0].real, 2.0 * u[1].real),
         (2.0 * u[0].imag, 2.0 * u[1].imag),
     ))
-
-
-def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
-    """Coarse partition by trace alone: hyperbolic / parabolic / elliptic,
-    the band that classify refines."""
-    tol = 0 if is_exact(U) else cfg.class_tol
-    t = abs(U.trace())
-    if t > 2 + tol:
-        return "hyperbolic"
-    if t >= 2 - tol:
-        return "parabolic"
-    return "elliptic"
-
-
-@dataclass(frozen=True)
-class EigenDatum:
-    value: float
-    direction: tuple
-    full_plane: bool = False
-
-
-def eigen_data(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
-    """Real eigenvalue/eigendirection list; small-modulus eigenvalue first."""
-    st = classify(U, cfg)
-    if st.tag == "D":
-        raise NoRealEigenvalues("elliptic matrix has no real eigenvalues")
-    if st.tag == "A":
-        return [
-            EigenDatum(st.lam, st.basis[0]),
-            EigenDatum(1.0 / st.lam, st.basis[1]),
-        ]
-    if st.tag == "C":
-        v = st.basis[0]
-        if is_exact(U):  # scaled exactly into the float range
-            s = Fraction(2) ** binary_exponent(max(map(abs, v)))
-            v = (v[0] / s, v[1] / s)
-        return [EigenDatum(float(st.eps), _normalize_direction(v))]
-    return [EigenDatum(float(st.eps), (1.0, 0.0), full_plane=True)]

@@ -456,6 +456,23 @@ def test_degenerate_eigenbasis_is_record_error(tmp_path, capsys):
 TINY_CC = ([[1, [1, 10**12]], [0, 1]], [[1, [2, 10**12]], [0, 1]])
 
 
+# |tr| - 2 is just above the default class_tol of 1e-9: the edge of the
+# |tr| = 2 band, where the matrix is hyperbolic (discriminant 4e-9 > 0)
+BAND_EDGE = [[1.000000001, 1], [1e-9, 1]]
+
+
+@pytest.mark.parametrize("command,key,answer", [
+    ("classify", "combo", ["A", "B"]),
+    ("canon", "sector", "AB"),
+])
+def test_band_edge_record(tmp_path, capsys, command, key, answer):
+    inp = write_doc(tmp_path, pair_doc((BAND_EDGE, IDENT)))
+    out = tmp_path / "out.jsonl"
+    assert main([command, inp, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert read_lines(out)[0][key] == answer
+
+
 def test_classify_rational_tiny_cc(tmp_path):
     inp = write_doc(tmp_path, pair_doc(TINY_CC))
     out = tmp_path / "out.jsonl"

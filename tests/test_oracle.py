@@ -194,6 +194,17 @@ def _reference_cases():
             _reflected(base.U1, R), _reflected(base.U2, R))
 
 
+def test_non_converged_search_returns_the_identity():
+    # without a conjugator there is no better guess: best_S is the identity
+    # and the residual is the distance between the pairs themselves
+    for sector, kind, p, q in _reference_cases():
+        report = search_conjugator(p, q)
+        if not report.converged:
+            assert report.best_S == IDENTITY, (sector, kind)
+            assert report.residual == max(p.U1.max_abs_diff(q.U1),
+                                          p.U2.max_abs_diff(q.U2))
+
+
 def test_intertwiners_match_numpy_svd():
     np = pytest.importorskip("numpy")
     for sector, kind, p, q in _reference_cases():
@@ -201,7 +212,7 @@ def test_intertwiners_match_numpy_svd():
                      + oracle._sylvester_rows(p.U2, q.U2), dtype=float)
         _, sv, vt = np.linalg.svd(M)
         ref = vt[sv <= RANK_TOL * max(1.0, sv[0])]
-        basis = np.array(oracle._intertwiners(p, q)[0]).reshape(-1, 4)
+        basis = np.array(oracle._intertwiners(p, q)).reshape(-1, 4)
         assert len(basis) == len(ref), (sector, kind, sv)
         gap = np.abs(basis.T @ basis - ref.T @ ref).max()
         assert gap <= 1e-8, (sector, kind, gap)

@@ -13,14 +13,13 @@ from sl2torus import (
     ClassificationAmbiguous,
     CommutingPair,
     DeterminantError,
-    NoRealEigenvalues,
     ParamOutOfRange,
     SL2Matrix,
+    SL2TorusError,
     SpectralType,
     ToleranceConfig,
     classify,
     conjugate,
-    eigen_data,
     make_sl2,
     rotation,
     sl2_from_coords,
@@ -29,6 +28,8 @@ from sl2torus import (
 from sl2torus.sl2 import DEFAULT_TOL, commutator_norm, is_exact
 
 CFG = ToleranceConfig()
+FAMILY = {"A": "hyperbolic", "B": "parabolic", "C": "parabolic",
+          "D": "elliptic"}
 
 
 def test_make_sl2_identity():
@@ -108,7 +109,8 @@ def test_classify_exact_jordan_below_float_range():
         U = make_sl2(F(1), F(1, 10**e), F(0), F(1))
         st_ = classify(U, CFG)
         assert (st_.tag, st_.eps) == ("C", 1)
-        assert eigen_data(U, CFG)[0].direction == (1.0, 0.0)
+        v = st_.basis[0]
+        assert v[1] == 0 < v[0]
 
 
 def test_classify_rotation():
@@ -134,31 +136,6 @@ def test_trace_class_bands():
     assert trace_class(make_sl2(3, 0, 0, 1 / 3)) == "hyperbolic"
     assert trace_class(make_sl2(-1, 1, 0, -1)) == "parabolic"
     assert trace_class(rotation(math.pi / 2)) == "elliptic"
-
-
-def test_eigen_data_diagonal():
-    data = eigen_data(make_sl2(2, 0, 0, 0.5), CFG)
-    assert data[0].value == pytest.approx(0.5)
-    assert data[0].direction == pytest.approx((0.0, 1.0))
-    assert data[1].value == pytest.approx(2.0)
-    assert data[1].direction == pytest.approx((1.0, 0.0))
-
-
-def test_eigen_data_jordan():
-    data = eigen_data(make_sl2(1, 1, 0, 1), CFG)
-    assert len(data) == 1
-    assert data[0].value == 1.0
-    assert data[0].direction == pytest.approx((1.0, 0.0))
-
-
-def test_eigen_data_scalar_full_plane():
-    data = eigen_data(make_sl2(-1, 0, 0, -1), CFG)
-    assert len(data) == 1 and data[0].full_plane
-
-
-def test_eigen_data_elliptic_raises():
-    with pytest.raises(NoRealEigenvalues):
-        eigen_data(rotation(math.pi / 3), CFG)
 
 
 coords = st.tuples(
@@ -197,31 +174,37 @@ def test_classify_conjugation_invariant(U, c):
 @settings(max_examples=100)
 def test_classify_agrees_with_trace_class(U, c):
     V = conjugate(U, sl2_from_coords(*c))
-    t = abs(V.trace())
-    if abs(t - 2.0) <= CFG.class_tol:
-        return
-    tag = classify(V, CFG).tag
     band = trace_class(V)
-    assert {"A": "hyperbolic", "B": "parabolic",
-            "C": "parabolic", "D": "elliptic"}[tag] == band
-
-
-@given(sample_matrices, coords)
-@settings(max_examples=100)
-def test_eigen_data_residual(U, c):
-    V = conjugate(U, sl2_from_coords(*c))
     try:
-        data = eigen_data(V, CFG)
-    except NoRealEigenvalues:
+        tag = classify(V, CFG).tag
+    except ClassificationAmbiguous:
+        assert band == "parabolic"
         return
-    scale = max(1.0, abs(V.a), abs(V.b), abs(V.c), abs(V.d))
-    for datum in data:
-        if datum.full_plane:
+    assert FAMILY[tag] == band
+
+
+def _band_edges(tol):
+    """|tr| at 2 + tol and 2 - tol (as floats) and at their two neighbouring
+    doubles, for both signs of the trace."""
+    for edge in (2 + tol, 2 - tol):
+        for t in (math.nextafter(edge, 0), edge, math.nextafter(edge, 4)):
+            yield t
+            yield -t
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12])
+def test_classify_band_edges_agree_with_trace_class(tol):
+    # classify and trace_class make one decision, so at each edge of the
+    # band classify either answers in trace_class's family or refuses
+    cfg = ToleranceConfig(class_tol=tol)
+    for t in _band_edges(tol):
+        h = t / 2
+        U = make_sl2(h, 1.0, h * (t - h) - 1.0, t - h)
+        try:
+            tag = classify(U, cfg).tag
+        except SL2TorusError:
             continue
-        iv = V.apply(datum.direction)
-        resid = math.hypot(iv[0] - datum.value * datum.direction[0],
-                           iv[1] - datum.value * datum.direction[1])
-        assert resid <= 1e-7 * scale
+        assert FAMILY[tag] == trace_class(U, cfg), (tol, t, tag)
 
 
 @given(sample_matrices, coords)
