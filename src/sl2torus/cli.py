@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
+import stat
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from fractions import Fraction
 
@@ -269,9 +272,23 @@ def _equiv_record(rec, where, mode, cfg):
 
 
 def _write_file(path, text):
+    """Write text over path in place and cut a regular file to its length,
+    so it ends with exactly text; a failed write leaves it empty.  Nothing
+    is fsynced.  A truncating open(path, "w") blocks for tens of ms on ext4
+    when the old blocks are already on disk, as they are on every rerun."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "w", closefd=False) as fh:
+                fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except OSError:
+            with suppress(OSError):  # EINVAL unless a regular file
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParseFailure(f"cannot write {path}: {exc}")
 

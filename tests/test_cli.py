@@ -1,13 +1,19 @@
 import copy
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sl2torus
 from sl2torus import SL2Matrix, conjugate, reconstruct, rotation
 from sl2torus.cli import (
     EXIT_AMBIGUOUS,
@@ -18,6 +24,7 @@ from sl2torus.cli import (
     _check_entry,
     _matrix,
     _read_document,
+    _write_file,
     main,
 )
 
@@ -270,7 +277,7 @@ def test_reader_accepts_what_the_schema_accepts(doc_path, key, data):
         resources.files("sl2torus.schemas").joinpath(SCHEMAS[key])
         .read_text()))
     for doc in mutations(data.draw(documents(key))):
-        doc_path.write_text(json.dumps(doc))
+        _write_file(str(doc_path), json.dumps(doc))
         valid = validator.is_valid(json.loads(doc_path.read_text()))
         assert reader_accepts(str(doc_path), key) == valid, doc
 
@@ -708,6 +715,97 @@ def test_plot_deterministic(tmp_path):
     main(["plot", "bd", "--out", str(tmp_path / "y")])
     assert (tmp_path / "x.svg").read_bytes() == (tmp_path / "y.svg").read_bytes()
     assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+
+
+# --- --out ----------------------------------------------------------------
+
+
+JUNK = b"junk\n" * 20_000
+
+
+def canon_stdout(capsys, inp):
+    assert main(["canon", inp]) == EXIT_OK
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("prior", ["longer", "shorter", "rerun"])
+def test_out_overwrites_existing_file(tmp_path, capsys, prior):
+    inp = write_doc(tmp_path, pair_doc((DIAG, DIAG2), (IDENT, JORDAN)))
+    expected = canon_stdout(capsys, inp)
+    out = tmp_path / "out.jsonl"
+    if prior == "rerun":
+        assert main(["canon", inp, "--out", str(out)]) == EXIT_OK
+    else:
+        out.write_bytes({"longer": JUNK, "shorter": b"{}\n"}[prior])
+    assert main(["canon", inp, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected
+
+
+def test_out_through_symlink_keeps_link(tmp_path, capsys):
+    inp = write_doc(tmp_path, pair_doc((DIAG, DIAG2)))
+    expected = canon_stdout(capsys, inp)
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_bytes(JUNK)
+    link.symlink_to(target)
+    assert main(["canon", inp, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == expected
+
+
+def test_out_keeps_file_mode(tmp_path, capsys):
+    inp = write_doc(tmp_path, pair_doc((DIAG, DIAG2)))
+    expected = canon_stdout(capsys, inp)
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(JUNK)
+    out.chmod(0o600)
+    assert main(["canon", inp, "--out", str(out)]) == EXIT_OK
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="/dev/null is POSIX")
+def test_out_dev_null(tmp_path):
+    inp = write_doc(tmp_path, pair_doc((DIAG, DIAG2)))
+    assert main(["canon", inp, "--out", "/dev/null"]) == EXIT_OK
+
+
+def test_plot_out_over_existing_files(tmp_path):
+    for ext in (".csv", ".svg"):
+        (tmp_path / f"old{ext}").write_bytes(JUNK)
+    assert main(["plot", "ab", "--out", str(tmp_path / "new")]) == EXIT_OK
+    assert main(["plot", "ab", "--out", str(tmp_path / "old")]) == EXIT_OK
+    for ext in (".csv", ".svg"):
+        assert (tmp_path / f"old{ext}").read_bytes() == \
+            (tmp_path / f"new{ext}").read_bytes()
+
+
+# The child lowers its own file-size limit, so writing past 4 KiB fails
+# with EFBIG after the in-place write has already replaced the first 4 KiB.
+FSIZE_CHILD = """
+import resource, signal, sys
+from sl2torus.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(["canon", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="RLIMIT_FSIZE is POSIX")
+def test_failed_write_leaves_file_empty(tmp_path, capsys):
+    inp = write_doc(tmp_path, pair_doc(*[(DIAG, DIAG2)] * 60))
+    assert len(canon_stdout(capsys, inp)) > 8192
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"x" * 8192)
+    src = str(Path(sl2torus.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    child = subprocess.run([sys.executable, "-c", FSIZE_CHILD, inp, str(out)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == EXIT_PARSE
+    assert child.stderr.startswith(f"cannot write {out}")
+    assert out.read_bytes() == b""
 
 
 # --- usage ----------------------------------------------------------------
