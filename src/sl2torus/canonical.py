@@ -18,6 +18,7 @@ from .sl2 import (
     ToleranceConfig,
     classify,
     conjugate,
+    float_copy,
     is_exact,
     rotation,
     scalar_band,
@@ -250,7 +251,7 @@ def _rotation_angle(si, co) -> float:
 def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
     S, sgn = _unit_basis(*t.basis)
-    R = conjugate(P, S)  # the rotation by P's angle
+    R = conjugate(float_copy(P), S)  # the rotation by P's angle
     theta = _rotation_angle(R.c, R.a)
     if not xy:
         return "DB", {"theta": theta}, S, None, sgn
@@ -309,9 +310,11 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     # reproduce the reconstructed canonical matrices
     target = reconstruct(result.sector, result.params)
     W = result.witness
-    tol = 10.0 * cfg.param_tol * _scale(p)
-    err = _witness_error(p, W, target)
-    if err > tol and (is_exact(p.U1) or is_exact(p.U2)):
+    exact = is_exact(p.U1) or is_exact(p.U2)
+    q = CommutingPair(float_copy(p.U1), float_copy(p.U2)) if exact else p
+    tol = 10.0 * cfg.param_tol * _scale(q)
+    err = _witness_error(q, W, target)
+    if err > tol and exact:
         # a float product rounds an exact entry far below the float range
         # to zero, so exact input that fails is checked again exactly
         W = SL2Matrix(*(Fraction(x) for x in (W.a, W.b, W.c, W.d)))

@@ -124,6 +124,8 @@ def _check_denominator(e, where):
 
 
 def _entry_float(e, where):
+    if type(e) is float and math.isfinite(e):
+        return e
     _check_entry(e, where)
     try:
         if type(e) is list:
@@ -140,14 +142,14 @@ def _entry_float(e, where):
 
 
 def _entry_fraction(e, where):
-    _check_entry(e, where)
-    parts = e if type(e) is list else [e, 1]
-    # the schema's integer also admits integral floats such as 2.0
-    if not all(type(x) is int for x in parts):
-        raise ParseFailure(f"{where}: rational mode requires integer or "
-                           f"[num, den] entries, got {e!r}")
-    _check_denominator(parts, where)
-    x = Fraction(*parts)
+    if type(e) is not int:
+        _check_entry(e, where)
+        # the schema's integer also admits integral floats such as 2.0
+        if not (type(e) is list and type(e[0]) is int and type(e[1]) is int):
+            raise ParseFailure(f"{where}: rational mode requires integer or "
+                               f"[num, den] entries, got {e!r}")
+        _check_denominator(e, where)
+    x = Fraction(*e) if type(e) is list else Fraction(e)
     _check_float_range(x, f"{where}: entry {e!r}")
     return x
 
@@ -271,13 +273,24 @@ def _equiv_record(rec, where, mode, cfg):
     }
 
 
+def _is_stdout(fd):
+    with suppress(OSError):  # fd 1 may be closed, or be fd itself
+        return fd != 1 and os.path.samestat(os.fstat(fd), os.fstat(1))
+    return False
+
+
 def _write_file(path, text):
     """Write text over path in place and cut a regular file to its length,
     so it ends with exactly text; a failed write leaves it empty.  Nothing
     is fsynced.  A truncating open(path, "w") blocks for tens of ms on ext4
-    when the old blocks are already on disk, as they are on every rerun."""
+    when the old blocks are already on disk, as they are on every rerun.
+    Standard output itself goes through sys.stdout, keeping its offset."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        if _is_stdout(fd):
+            os.close(fd)
+            sys.stdout.write(text)
+            return
         try:
             with open(fd, "w", closefd=False) as fh:
                 fh.write(text)
@@ -300,9 +313,11 @@ def _write(text, args):
         sys.stdout.write(text)
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps's, built once
+
+
 def _emit(lines, args):
-    _write("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines),
-           args)
+    _write("".join(_encode(obj) + "\n" for obj in lines), args)
 
 
 def _run_batch(args, key, handler):

@@ -144,22 +144,36 @@ def _all_fractions(a, b, c, d) -> bool:
 
 def is_exact(U: SL2Matrix) -> bool:
     """True when all four entries are Fractions, so tests on U are exact."""
-    return _all_fractions(U.a, U.b, U.c, U.d)
+    return (type(U.a) is Fraction and type(U.b) is Fraction
+            and type(U.c) is Fraction and type(U.d) is Fraction)
 
 
 def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     """Validating constructor; rejects (never renormalizes) non-unit det.
 
-    Four Fraction entries are kept and their determinant must be exactly 1;
-    any other input is converted to floats."""
-    exact = _all_fractions(a, b, c, d)
+    Four Fraction entries are kept and their determinant, tested in
+    integers, must be exactly 1; any other input is converted to floats."""
+    if _all_fractions(a, b, c, d):
+        dad, dbc = a.denominator * d.denominator, b.denominator * c.denominator
+        if (a.numerator * d.numerator * dbc - b.numerator * c.numerator * dad
+                != dad * dbc):
+            raise DeterminantError(a * d - b * c)
+        return SL2Matrix(a, b, c, d)
     det = a * d - b * c
     # written so that a NaN determinant fails too
-    if not abs(det - 1) <= (0 if exact else cfg.det_tol):
+    if not abs(det - 1) <= cfg.det_tol:
         raise DeterminantError(det)
-    if exact:
-        return SL2Matrix(a, b, c, d)
     return SL2Matrix(float(a), float(b), float(c), float(d))
+
+
+def float_copy(U: SL2Matrix) -> SL2Matrix:
+    """U with float entries if exact.  Fraction op float is float(F) op x,
+    so an expression that takes each entry into a float operation first
+    gives the same bits on the copy; not so -F / x (0.0 for F = 0, -0.0 on
+    the copy) or F1 * F2 + x (rounded once, on the copy twice)."""
+    if not is_exact(U):
+        return U
+    return SL2Matrix(float(U.a), float(U.b), float(U.c), float(U.d))
 
 
 def binary_exponent(x: Fraction) -> int:
@@ -226,8 +240,10 @@ def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     with off = |tr U| - 2, parabolic when |off| <= class_tol (0 on an exact
     matrix), else hyperbolic when off > 0 and elliptic when off < 0.  For
     |tr| in [1, 4], off is exact in floats (Sterbenz), and so is its sign."""
-    off = abs(U.trace()) - 2
-    if abs(off) <= (0 if is_exact(U) else cfg.class_tol):
+    t, exact = U.trace(), is_exact(U)
+    # on an exact U, off times the positive denominator of t: an integer
+    off = abs(t.numerator) - 2 * t.denominator if exact else abs(t) - 2
+    if abs(off) <= (0 if exact else cfg.class_tol):
         return "parabolic"
     return "hyperbolic" if off > 0 else "elliptic"
 
@@ -236,8 +252,10 @@ def _scalar_test(U: SL2Matrix, cfg: ToleranceConfig):
     """(eps, scalar) for U in the parabolic band: eps the sign of tr U, and
     whether U is eps*I within class_tol; ClassificationAmbiguous between
     class_tol and AMBIG_FACTOR * class_tol."""
-    tol = 0 if is_exact(U) else cfg.class_tol
     eps = 1 if U.trace() > 0 else -1
+    if is_exact(U):  # tolerance 0, so no band
+        return eps, U.b == 0 and U.c == 0 and U.a == eps and U.d == eps
+    tol = cfg.class_tol
     dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
     if tol < dev < AMBIG_FACTOR * tol:
         raise ClassificationAmbiguous(

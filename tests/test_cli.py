@@ -769,6 +769,30 @@ def test_out_dev_null(tmp_path):
     assert main(["canon", inp, "--out", "/dev/null"]) == EXIT_OK
 
 
+def child_env():
+    """The environment of a child process that imports this sl2torus."""
+    src = str(Path(sl2torus.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_out_dev_stdout_keeps_append_redirect(tmp_path):
+    # echo old > f; sl2torus sample BB --count 1 --out /dev/stdout >> f
+    argv = [sys.executable, "-m", "sl2torus", "sample", "BB", "--count", "1"]
+    doc = subprocess.run(argv, env=child_env(), capture_output=True,
+                         check=True).stdout
+    f = tmp_path / "f"
+    f.write_bytes(b"old\n")
+    with open(f, "ab") as redirect:
+        child = subprocess.run(argv + ["--out", "/dev/stdout"],
+                               env=child_env(), stdout=redirect)
+    assert child.returncode == EXIT_OK
+    assert f.read_bytes() == b"old\n" + doc
+
+
 def test_plot_out_over_existing_files(tmp_path):
     for ext in (".csv", ".svg"):
         (tmp_path / f"old{ext}").write_bytes(JUNK)
@@ -797,12 +821,8 @@ def test_failed_write_leaves_file_empty(tmp_path, capsys):
     assert len(canon_stdout(capsys, inp)) > 8192
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"x" * 8192)
-    src = str(Path(sl2torus.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
     child = subprocess.run([sys.executable, "-c", FSIZE_CHILD, inp, str(out)],
-                           env=env, capture_output=True, text=True)
+                           env=child_env(), capture_output=True, text=True)
     assert child.returncode == EXIT_PARSE
     assert child.stderr.startswith(f"cannot write {out}")
     assert out.read_bytes() == b""

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2torus import (
+    CommutingPair,
     ForbiddenCombo,
     NotCommuting,
+    SL2Matrix,
     allowed_combination,
     coarse_combo,
     make_pair,
@@ -15,6 +19,7 @@ from sl2torus import (
 )
 from sl2torus.atlas import random_sl2, sample_sector
 from sl2torus.canonical import SECTORS
+from sl2torus.sl2 import commutator_norm
 
 
 def test_make_pair_identity():
@@ -47,6 +52,43 @@ def test_make_pair_exact_requires_zero_commutator():
     make_pair(make_sl2(1, 1, 0, 1), make_sl2(1, 0, float(e), 1))
     with pytest.raises(NotCommuting):
         make_pair(J, K)
+
+
+# signed, zero, and with numerators and denominators far beyond 2**64
+wide_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]),
+    st.fractions(-3, 3, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact matrices, built directly; the second is often xI + yU,
+    which commutes with the first, and sometimes that with one entry
+    nudged."""
+    U = SL2Matrix(*(draw(wide_fractions) for _ in range(4)))
+    kind = draw(st.sampled_from(["any", "commuting", "nudged"]))
+    if kind == "any":
+        return U, SL2Matrix(*(draw(wide_fractions) for _ in range(4)))
+    x, y = draw(wide_fractions), draw(wide_fractions)
+    V = [x + y * U.a, y * U.b, y * U.c, x + y * U.d]
+    if kind == "nudged":
+        V[draw(st.integers(0, 3))] += draw(wide_fractions)
+    return U, SL2Matrix(*V)
+
+
+@given(exact_pairs())
+@settings(max_examples=400)
+def test_make_pair_exact_decides_like_fractions(UV):
+    U, V = UV
+    if U @ V == V @ U:  # the commutator in Fractions
+        assert make_pair(U, V) == CommutingPair(U, V)
+    else:
+        with pytest.raises(NotCommuting) as exc:
+            make_pair(U, V)
+        norm = exc.value.norm
+        assert type(norm) is Fraction and norm == commutator_norm(U, V) > 0
 
 
 def test_coarse_combo_aa():

@@ -25,7 +25,13 @@ from sl2torus import (
     sl2_from_coords,
     trace_class,
 )
-from sl2torus.sl2 import DEFAULT_TOL, commutator_norm, is_exact
+from sl2torus.sl2 import (
+    DEFAULT_TOL,
+    commutator_norm,
+    float_copy,
+    is_exact,
+    scalar_band,
+)
 
 CFG = ToleranceConfig()
 FAMILY = {"A": "hyperbolic", "B": "parabolic", "C": "parabolic",
@@ -360,3 +366,70 @@ def test_is_exact_only_for_four_fractions(entries, exact):
     U = make_sl2(*entries)
     assert is_exact(U) is exact
     assert all(type(x) is (Fraction if exact else float) for x in astuple(U))
+
+
+# --- exact decisions in integers against Fraction arithmetic ---------------
+
+# signed, zero, and with numerators and denominators far beyond 2**64; all
+# within the float range
+wide_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]),
+    st.fractions(-3, 3, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+)
+
+
+@st.composite
+def exact_quadruples(draw):
+    """Four Fractions, with det 1, |tr| = 2 or a scalar matrix often."""
+    a, b, c = draw(wide_fractions), draw(wide_fractions), draw(wide_fractions)
+    kind = draw(st.sampled_from(["any", "unit", "tr2", "scalar", "nudged"]))
+    if kind == "scalar":
+        eps = draw(st.sampled_from([1, -1]))
+        return Fraction(eps), Fraction(0), Fraction(0), Fraction(eps)
+    if kind == "tr2":
+        return a, b, c, draw(st.sampled_from([2, -2])) - a
+    if kind in ("unit", "nudged") and a != 0:
+        d = (1 + b * c) / a
+        return a, b, c, d + (draw(wide_fractions) if kind == "nudged" else 0)
+    return a, b, c, draw(wide_fractions)
+
+
+@given(exact_quadruples())
+@settings(max_examples=400)
+def test_make_sl2_exact_decides_like_fractions(q):
+    a, b, c, d = q
+    det = a * d - b * c
+    if det == 1:
+        assert make_sl2(*q) == SL2Matrix(*q)
+    else:
+        with pytest.raises(DeterminantError) as exc:
+            make_sl2(*q)
+        assert type(exc.value.det) is Fraction and exc.value.det == det
+
+
+@given(exact_quadruples())
+@settings(max_examples=400)
+def test_exact_band_and_scalar_tests_decide_like_fractions(q):
+    U = SL2Matrix(*q)
+    a, b, c, d = q
+    off = abs(a + d) - 2
+    band = ("parabolic" if off == 0 else
+            "hyperbolic" if off > 0 else "elliptic")
+    assert trace_class(U) == band
+    if band != "parabolic":
+        assert scalar_band(U) == (None, False)
+        return
+    eps = 1 if a + d > 0 else -1
+    dev = max(abs(a - eps), abs(b), abs(c), abs(d - eps))
+    assert scalar_band(U) == (eps, dev == 0)
+
+
+@given(matrices(wide_fractions), matrices(st.floats()))
+@settings(max_examples=300)
+def test_float_copy_conjugates_to_the_same_bits(U, S):
+    # Fraction op float is float(F) op x, so an exact U conjugated by a
+    # float S gives the bits of its float copy, signed zeros included
+    assert repr(conjugate(float_copy(U), S)) == repr(conjugate(U, S))
+    assert all(type(x) is float for x in astuple(float_copy(U)))
+    assert float_copy(S) is S
