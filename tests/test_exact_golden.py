@@ -4,9 +4,12 @@ A small rational document is built here from a seeded random.Random: two
 conjugated pairs of every sector, the 1e-12 CC pair, a CB pair whose
 nilpotent part is 1e-400, unconjugated Pythagorean rotations, a hyperbolic
 pair with an exact zero below the diagonal, and the exact error records
-NOT_COMMUTING and DETERMINANT.  Its `classify` and `canon` output must stay
-byte for byte what is committed in tests/golden/, so a change to how exact
-records are decided cannot change an answer, on any Python version.
+NOT_COMMUTING and DETERMINANT.  A rational comparison document holds, per
+sector, one pair against another conjugate of it and two pairs of the
+sector against each other, and comparisons with the 1e-12 CC pair and an
+exact error.  The `classify`, `canon` and `equiv` output must stay byte for
+byte what is committed in tests/golden/, so a change to how exact records
+are decided cannot change an answer, on any Python version.
 """
 
 import json
@@ -114,6 +117,43 @@ def exact_document(seed=24):
         {"id": f"x{i}", "mode": "rational", "U1": _rows(U1), "U2": _rows(U2)}
         for i, (U1, U2) in enumerate(pairs)
     ]}
+
+
+def exact_comparisons(seed=25):
+    rng = random.Random(seed)
+    comps = []
+    for sector in SECTORS:
+        U1, U2 = _canonical(sector, rng)
+        V1, V2 = _canonical(sector, rng)
+        S, T = _conjugator(rng), _conjugator(rng)
+        comps += [
+            ((conjugate(U1, S), conjugate(U2, S)),
+             (conjugate(U1, T), conjugate(U2, T))),
+            ((conjugate(U1, S), conjugate(U2, S)),
+             (conjugate(V1, T), conjugate(V2, T))),
+        ]
+    tiny = Fraction(1, 10**12)
+    cc = (_exact(1, tiny, 0, 1), _exact(1, 2 * tiny, 0, 1))
+    S = _conjugator(rng)
+    comps += [
+        (cc, (conjugate(cc[0], S), conjugate(cc[1], S))),         # EQUIVALENT
+        (cc, (cc[1], cc[0])),                                       # DISTINCT
+        (cc, (_exact(1, 1, 0, 1), _exact(1, 0, 1, 1))),     # NOT_COMMUTING
+    ]
+    return {"comparisons": [
+        {"id": f"q{i}", "mode": "rational",
+         "left": {"U1": _rows(L1), "U2": _rows(L2)},
+         "right": {"U1": _rows(R1), "U2": _rows(R2)}}
+        for i, ((L1, L2), (R1, R2)) in enumerate(comps)
+    ]}
+
+
+def test_exact_comparisons_match_golden_output(tmp_path):
+    doc = tmp_path / "exact.json"
+    doc.write_text(json.dumps(exact_comparisons()))
+    out = tmp_path / "equiv.jsonl"
+    assert main(["equiv", str(doc), "--out", str(out)]) == EXIT_DOMAIN
+    assert out.read_bytes() == (GOLDEN / "exact_equiv.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["classify", "canon"])
