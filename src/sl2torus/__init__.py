@@ -3,6 +3,8 @@ pairs modulo simultaneous conjugation: spectral classification, the eleven
 canonical sectors, equivalence testing, an independent conjugator-search
 oracle, and depiction utilities."""
 
+from importlib import import_module
+
 from .errors import (
     ClassificationAmbiguous,
     DegenerateCC,
@@ -34,29 +36,24 @@ from .canonical import (
     equivalent,
     reconstruct,
 )
-from .atlas import (
-    SEPARATED,
-    CellIncidence,
-    EmbeddedPoint,
-    SectorDomain,
-    component_key,
-    component_labels,
-    depiction_component,
-    embed,
-    incidence,
-    parameter_domain,
-    sample_sector,
-    sector_distance,
-)
 
 __version__ = "0.1.0"
 
+# loaded on first use (PEP 562): nothing else in the package uses the
+# oracle, and only plotting and sampling use the atlas and its constants
+_LAZY = {
+    "oracle": ("ConjugatorSearchReport", "exact_classify", "search_conjugator"),
+    "atlas": ("SEPARATED", "CellIncidence", "EmbeddedPoint", "SectorDomain",
+              "component_key", "component_labels", "depiction_component",
+              "embed", "incidence", "parameter_domain", "sample_sector",
+              "sector_distance"),
+    "constants": (),
+}
+
 
 def __getattr__(name):
-    # nothing else in the package uses the oracle: load it on first use
-    # (PEP 562)
-    if name in ("ConjugatorSearchReport", "exact_classify",
-                "search_conjugator"):
-        from . import oracle
-        return getattr(oracle, name)
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = import_module(f"{__name__}.{module}")
+            return mod if name == module else getattr(mod, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,8 @@ from .sl2 import (
     ToleranceConfig,
     classify,
     conjugate,
+    exact_integers,
+    exact_trace,
     float_copy,
     is_exact,
     rotation,
@@ -184,7 +186,7 @@ def _det2(v, w):
 def _canon_A(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
     if xy:
-        x, y = xy
+        x, y = float(xy[0]), float(xy[1])
         # AA1 if O also contracts v, else AA2, whose mu is O's eigenvalue on w
         aa1 = abs(x + y * lam) < 1.0
         mu = x + y * lam if aa1 else x + y / lam
@@ -255,10 +257,10 @@ def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     theta = _rotation_angle(R.c, R.a)
     if not xy:
         return "DB", {"theta": theta}, S, None, sgn
-    x, y = xy
+    x, y = float(xy[0]), float(xy[1])
     phi = _rotation_angle(y * R.c, x + y * R.a)  # arg(x + y exp(i theta))
     if swap:  # U1's own basis has its first vector negated when y < 0
-        theta, phi, sgn = phi, theta, -sgn if y < 0 else sgn
+        theta, phi, sgn = phi, theta, -sgn if xy[1] < 0 else sgn
     return "DD", {"theta": theta, "phi": phi}, S, None, sgn
 
 
@@ -277,15 +279,39 @@ _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
                  "lam": "mu", "theta": "phi"}
 
 
+def _traceless(U: SL2Matrix, exact: bool):
+    """(h, n): U's traceless part ((a - d)/2, b, c) is h / n; integers with
+    n > 0 on an exact pair, else floats with n = 1."""
+    if exact:
+        a, b, c, d, m = exact_integers(U)
+        return (a - d, 2 * b, 2 * c), 2 * m
+    return ((U.a - U.d) / 2, U.b, U.c), 1
+
+
+def _largest(h):
+    """Index and size of the first largest |entry| of the triple h."""
+    x, y, z = abs(h[0]), abs(h[1]), abs(h[2])
+    if x >= y and x >= z:
+        return 0, x
+    return (1, y) if y >= z else (2, z)
+
+
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
     """Sector, parameters and witness of p.  Only the pivot P, the matrix
     whose traceless part ((a - d)/2, b, c) has the larger entry, is
     classified.  Its partner O is B by classify's test, or else O = xI + yP
     (Horn & Johnson, 3.2.4), with y the ratio of the traceless parts at
-    P's largest entry, which cannot overflow as a squared norm can."""
-    h1, h2 = (((U.a - U.d) / 2, U.b, U.c) for U in (p.U1, p.U2))
-    swap = max(map(abs, h2)) > max(map(abs, h1))
-    P, O, hP, hO = (p.U2, p.U1, h2, h1) if swap else (p.U1, p.U2, h1, h2)
+    P's largest entry, which cannot overflow as a squared norm can.  On an
+    exact pair these are decided and computed in integers, and x and y are
+    Fractions."""
+    exact = is_exact(p.U1) and is_exact(p.U2)
+    (h1, n1), (h2, n2) = _traceless(p.U1, exact), _traceless(p.U2, exact)
+    (k1, g1), (k2, g2) = _largest(h1), _largest(h2)
+    swap = g2 * n1 > g1 * n2
+    if swap:
+        P, O, hP, hO, nP, nO, k = p.U2, p.U1, h2, h1, n2, n1, k2
+    else:
+        P, O, hP, hO, nP, nO, k = p.U1, p.U2, h1, h2, n1, n2, k1
     eps_o, o_scalar = scalar_band(O, cfg)
     t = classify(P, cfg)
     if t.tag == "B" and not o_scalar:
@@ -293,11 +319,16 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         P, t, eps_o, o_scalar, swap = O, classify(O, cfg), t.eps, True, not swap
     xy = None
     if not o_scalar:
-        k = max(range(3), key=lambda i: abs(hP[i]))
         if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
             raise SL2TorusError(f"basis of scalar {P!r} is degenerate")
-        y = hO[k] / hP[k]
-        xy = ((O.trace() - y * P.trace()) / 2, y)
+        if exact:  # y = yn / yd and x = (tr O - y tr P) / 2 = xn / xd
+            y = Fraction(hO[k] * nP, hP[k] * nO)
+            (to, do), (tp, dp) = exact_trace(O), exact_trace(P)
+            yn, yd = y.numerator, y.denominator
+            xy = (Fraction(to * dp * yd - yn * tp * do, 2 * do * dp * yd), y)
+        else:
+            y = hO[k] / hP[k]
+            xy = ((O.trace() - y * P.trace()) / 2, y)
     sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, cfg)
     if o_scalar:
         params["eps2"] = eps_o

@@ -15,14 +15,12 @@ import argparse
 import json
 import math
 import os
-import random
 import stat
 import sys
 from contextlib import suppress
 from dataclasses import fields
 from fractions import Fraction
 
-from .atlas import cells, random_sl2, sample_params
 from .canonical import (
     SECTOR_CONTINUOUS,
     SECTORS,
@@ -40,14 +38,18 @@ from .errors import (
     ParamOutOfRange,
     SL2TorusError,
 )
-from .figures import FIGURES, figure_rows, rows_to_csv, rows_to_svg
 from .pairs import make_pair, spectral_types
-from .sl2 import ToleranceConfig, is_exact, make_sl2, trace_class
+from .sl2 import ToleranceConfig, exact_trace, is_exact, make_sl2, trace_class
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_AMBIGUOUS = 4
+
+
+# figures.FIGURES, for argparse's choices without importing the plotting
+# and sampling code, which only `plot` and `sample` load
+FIGURES = ("ab", "bc", "bd", "overall")
 
 
 class ParseFailure(Exception):
@@ -142,41 +144,55 @@ def _entry_float(e, where):
 
 
 def _entry_fraction(e, where):
-    if type(e) is not int:
+    if type(e) is int:
+        n, d = e, 1
+    elif (type(e) is list and len(e) == 2
+          and type(e[0]) is int and type(e[1]) is int):
+        _check_denominator(e, where)
+        n, d = e
+    else:
         _check_entry(e, where)
         # the schema's integer also admits integral floats such as 2.0
-        if not (type(e) is list and type(e[0]) is int and type(e[1]) is int):
-            raise ParseFailure(f"{where}: rational mode requires integer or "
-                               f"[num, den] entries, got {e!r}")
-        _check_denominator(e, where)
-    x = Fraction(*e) if type(e) is list else Fraction(e)
-    _check_float_range(x, f"{where}: entry {e!r}")
-    return x
+        raise ParseFailure(f"{where}: rational mode requires integer or "
+                           f"[num, den] entries, got {e!r}")
+    if _beyond_float_range(n, d):
+        raise ParseFailure(f"{where}: entry {e!r} beyond the float range")
+    return Fraction(n, d)
 
 
-def _check_float_range(x, what):
-    # classification takes square roots in floats
+def _beyond_float_range(n, d):
+    """Whether float(Fraction(n, d)) overflows, as classification, which
+    takes square roots in floats, would: n / d is the same correctly
+    rounded quotient, without building the Fraction."""
     try:
-        float(x)
+        n / d
     except OverflowError:
-        raise ParseFailure(f"{what} beyond the float range")
+        return True
+    return False
 
 
 def _matrix(m, entry, where):
     if not (type(m) is list and len(m) == 2
-            and all(type(row) is list and len(row) == 2 for row in m)):
+            and type(m[0]) is list and len(m[0]) == 2
+            and type(m[1]) is list and len(m[1]) == 2):
         raise ParseFailure(f"{where}: not a list of two rows of two entries")
-    return [entry(x, where) for row in m for x in row]
+    (a, b), (c, d) = m
+    return entry(a, where), entry(b, where), entry(c, where), entry(d, where)
 
 
 def _pair(side, where, mode, cfg):
     """The validated pair of a record or comparison side.  In rational mode
     the entries are Fractions, so every test on the pair is exact."""
     entry = _entry_fraction if mode == "rational" else _entry_float
-    U1, U2 = (_matrix(side[k], entry, f"{where}, {k}") for k in ("U1", "U2"))
+    U1 = _matrix(side["U1"], entry, f"{where}, U1")
+    U2 = _matrix(side["U2"], entry, f"{where}, U2")
     if mode == "rational":  # each entry fits a float, its trace may not
-        for k, U in (("U1", U1), ("U2", U2)):
-            _check_float_range(U[0] + U[3], f"{where}: trace of {k}")
+        for k, (a, _, _, d) in (("U1", U1), ("U2", U2)):
+            if _beyond_float_range(
+                    a.numerator * d.denominator + d.numerator * a.denominator,
+                    a.denominator * d.denominator):
+                raise ParseFailure(f"{where}: trace of {k} beyond the float "
+                                   f"range")
     return make_pair(make_sl2(*U1, cfg), make_sl2(*U2, cfg), cfg)
 
 
@@ -233,7 +249,7 @@ def _canon_record(rec, where, mode, cfg):
     out = {
         "id": rec["id"],
         "sector": result.sector,
-        "params": dict(sorted(result.params.items())),
+        "params": result.params,
         "witness": result.witness.entries(),
         "trace": {
             "c": None if c is None else float(c),
@@ -248,16 +264,17 @@ def _canon_record(rec, where, mode, cfg):
             exact["c"] = [c.numerator, c.denominator]
             exact["det_sprime_sign"] = result.trace.det_sprime_sign
         for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
-            if trace_class(U, cfg) == "elliptic":
-                co = U.trace() / 2
-                exact[key] = [co.numerator, co.denominator]
+            if trace_class(U, cfg) == "elliptic":  # cos = tr / 2 = n / 2m
+                n, m = exact_trace(U)
+                g = math.gcd(n, 2 * m)
+                exact[key] = [n // g, 2 * m // g]
         if exact:
             out["exact"] = exact
     return out
 
 
 def _canon_json(cp):
-    return {"sector": cp.sector, "params": dict(sorted(cp.params.items()))}
+    return {"sector": cp.sector, "params": cp.params}
 
 
 def _equiv_record(rec, where, mode, cfg):
@@ -355,6 +372,10 @@ def cmd_equiv(args):
 
 
 def cmd_sample(args):
+    import random
+
+    from .atlas import cells, random_sl2, sample_params
+
     if args.sector not in SECTORS:
         print(f"unknown sector {args.sector!r}; choose from "
               f"{', '.join(SECTORS)}", file=sys.stderr)
@@ -383,6 +404,8 @@ def cmd_sample(args):
 
 
 def cmd_plot(args):
+    from .figures import figure_rows, rows_to_csv, rows_to_svg
+
     rows = figure_rows(args.figure, args.resolution)
     base = args.out or args.figure
     if base.endswith(".svg") or base.endswith(".csv"):

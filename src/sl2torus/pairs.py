@@ -12,6 +12,7 @@ from .sl2 import (
     ToleranceConfig,
     classify,
     commutator_norm,
+    exact_integers,
     is_exact,
 )
 
@@ -30,12 +31,6 @@ class CommutingPair:
     U2: SL2Matrix
 
 
-def _integers(U: SL2Matrix):
-    """An exact U's entries times the product of their denominators."""
-    m = U.a.denominator * U.b.denominator * U.c.denominator * U.d.denominator
-    return [x.numerator * (m // x.denominator) for x in (U.a, U.b, U.c, U.d)]
-
-
 def make_pair(
     U1: SL2Matrix, U2: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> CommutingPair:
@@ -43,7 +38,7 @@ def make_pair(
     commutator entries +-(b1 c2 - b2 c1), b2 h1 - b1 h2 and c1 h2 - c2 h1,
     h = a - d, are 0 on U1 and U2 scaled to integers."""
     if is_exact(U1) and is_exact(U2):
-        (a1, b1, c1, d1), (a2, b2, c2, d2) = _integers(U1), _integers(U2)
+        (a1, b1, c1, d1, _), (a2, b2, c2, d2, _) = exact_integers(U1), exact_integers(U2)
         h1, h2 = a1 - d1, a2 - d2
         if b1 * c2 == b2 * c1 and b2 * h1 == b1 * h2 and c1 * h2 == c2 * h1:
             return CommutingPair(U1, U2)

@@ -173,26 +173,56 @@ def float_copy(U: SL2Matrix) -> SL2Matrix:
     the copy) or F1 * F2 + x (rounded once, on the copy twice)."""
     if not is_exact(U):
         return U
-    return SL2Matrix(float(U.a), float(U.b), float(U.c), float(U.d))
+    a, b, c, d = U.a, U.b, U.c, U.d  # float(F) is F.numerator / F.denominator
+    return SL2Matrix(a.numerator / a.denominator, b.numerator / b.denominator,
+                     c.numerator / c.denominator, d.numerator / d.denominator)
+
+
+def exact_integers(U: SL2Matrix):
+    """(A, B, C, D, m) for an exact U: its entries times m, the product of
+    their denominators, all integers, m > 0.  Exact decisions compare these;
+    a float of an exact quantity is an integer quotient such as A / m,
+    which is correctly rounded, and so is the float Fraction arithmetic
+    would give."""
+    a, b, c, d = U.a, U.b, U.c, U.d
+    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    dab, dcd = da * db, dc * dd
+    return (a.numerator * db * dcd, b.numerator * da * dcd,
+            c.numerator * dab * dd, d.numerator * dab * dc, dab * dcd)
+
+
+def exact_trace(U: SL2Matrix):
+    """(n, m), n / m the trace of an exact U and m > 0, in integers."""
+    a, d = U.a, U.d
+    return (a.numerator * d.denominator + d.numerator * a.denominator,
+            a.denominator * d.denominator)
 
 
 def binary_exponent(x: Fraction) -> int:
-    """e with 2**(e-1) < x < 2**(e+1), for x > 0.  Scaling by a power of
+    """e with 2**(e-1) < |x| < 2**(e+1), for x != 0.  Scaling by a power of
     two is exact, for Fractions and for floats in the normal range, so it
     changes no float result but brings tiny or huge Fractions into the
     float range."""
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _real_eigendirection(U: SL2Matrix, lam: float):
-    """Unit kernel vector of U - lam*I, sign-normalized."""
-    r1 = (U.a - lam, U.b)
-    r2 = (U.c, U.d - lam)
-    row = r1 if math.hypot(*r1) >= math.hypot(*r2) else r2
-    n = math.hypot(row[1], -row[0])
+def _fraction_times_power_of_two(n: int, d: int, k: int) -> Fraction:
+    """Fraction(n, d) * 2**k."""
+    return Fraction(n << k, d) if k >= 0 else Fraction(n, d << -k)
+
+
+def _real_eigendirection(a, b, c, d, minus_c, lam):
+    """Unit kernel vector of [[a, b], [c, d]] - lam*I, sign-normalized.
+    minus_c is -c: the float of an exact -0 is 0.0, where the float copy
+    negates to -0.0."""
+    if math.hypot(a - lam, b) >= math.hypot(c, d - lam):
+        x, y = b, -(a - lam)
+    else:
+        x, y = d - lam, minus_c
+    n = math.hypot(x, y)
     if n == 0.0:
         raise ValueError("zero eigendirection")
-    x, y = row[1] / n, -row[0] / n
+    x, y = x / n, y / n
     # sign convention: first nonzero component positive
     if x < 0 or (abs(x) < 1e-14 and y < 0):
         x, y = -x, -y
@@ -205,21 +235,25 @@ def _parabolic_basis(U: SL2Matrix, eps):
     N = U - eps*I, which spans the kernel of N, and w the standard basis
     vector with N w = v1, which yields the identity witness on canonical
     input."""
-    c1 = (U.a - eps, U.c)
-    c2 = (U.b, U.d - eps)
-    exact = is_exact(U)
-    if exact:  # by largest entry, so that a tiny one is not rounded to zero
-        second = max(map(abs, c2)) >= max(map(abs, c1))
-    else:
-        second = math.hypot(*c2) >= math.hypot(*c1)
-    v1, w = (c2, (0, 1)) if second else (c1, (1, 0))
-    if not exact:
-        return v1, w
-    # scaled by a power of two to determinant near 1, so that a nilpotent
-    # part far below the float range keeps its witness
-    det = v1[0] * w[1] - v1[1] * w[0]
-    s = Fraction(2) ** (binary_exponent(abs(det)) // 2)
-    return (v1[0] / s, v1[1] / s), (w[0] / s, w[1] / s)
+    if not is_exact(U):
+        c1, c2 = (U.a - eps, U.c), (U.b, U.d - eps)
+        if math.hypot(*c2) >= math.hypot(*c1):
+            return c2, (0, 1)
+        return c1, (1, 0)
+    # by largest entry, so that a tiny one is not rounded to zero
+    A, B, C, D, m = exact_integers(U)
+    second = max(abs(B), abs(D - eps * m)) >= max(abs(A - eps * m), abs(C))
+    # scaled by 2**-k to determinant det(v1, w) = b or -c near 1, so that
+    # a nilpotent part far below the float range keeps its witness
+    x, y = (U.b, U.d) if second else (U.c, U.a)
+    k = -(binary_exponent(x) // 2)
+    v = (_fraction_times_power_of_two(x.numerator, x.denominator, k),
+         _fraction_times_power_of_two(y.numerator - eps * y.denominator,
+                                      y.denominator, k))
+    one, zero = _fraction_times_power_of_two(1, 1, k), Fraction(0)
+    if second:
+        return v, (zero, one)
+    return v[::-1], (one, zero)
 
 
 @dataclass(slots=True)
@@ -240,10 +274,12 @@ def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     with off = |tr U| - 2, parabolic when |off| <= class_tol (0 on an exact
     matrix), else hyperbolic when off > 0 and elliptic when off < 0.  For
     |tr| in [1, 4], off is exact in floats (Sterbenz), and so is its sign."""
-    t, exact = U.trace(), is_exact(U)
-    # on an exact U, off times the positive denominator of t: an integer
-    off = abs(t.numerator) - 2 * t.denominator if exact else abs(t) - 2
-    if abs(off) <= (0 if exact else cfg.class_tol):
+    if is_exact(U):  # off times the positive denominator of tr U
+        n, m = exact_trace(U)
+        off, tol = abs(n) - 2 * m, 0
+    else:
+        off, tol = abs(U.a + U.d) - 2, cfg.class_tol
+    if abs(off) <= tol:
         return "parabolic"
     return "hyperbolic" if off > 0 else "elliptic"
 
@@ -252,9 +288,10 @@ def _scalar_test(U: SL2Matrix, cfg: ToleranceConfig):
     """(eps, scalar) for U in the parabolic band: eps the sign of tr U, and
     whether U is eps*I within class_tol; ClassificationAmbiguous between
     class_tol and AMBIG_FACTOR * class_tol."""
-    eps = 1 if U.trace() > 0 else -1
     if is_exact(U):  # tolerance 0, so no band
+        eps = 1 if exact_trace(U)[0] > 0 else -1
         return eps, U.b == 0 and U.c == 0 and U.a == eps and U.d == eps
+    eps = 1 if U.a + U.d > 0 else -1
     tol = cfg.class_tol
     dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
     if tol < dev < AMBIG_FACTOR * tol:
@@ -277,45 +314,54 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     """Spectral type of U and its normal-form basis, in the family that
     trace_class names.  On an exact matrix the tolerance is 0, so the
     |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
-    Integer constants keep Fraction arithmetic exact up to the square roots
-    and the final float results."""
+    Every other decision on an exact matrix is made on its integers (see
+    ``integers``), and every float is an integer quotient, so the results
+    are those of Fraction arithmetic up to the square roots and the final
+    float results."""
     band = trace_class(U, cfg)
-    t = U.trace()
-    if band == "hyperbolic":
-        # the large-modulus root has no cancellation and t*t cannot
-        # overflow; the small one is its inverse, since det = 1
-        s = abs(t)
-        disc = math.sqrt(s - 2) * math.sqrt(s + 2)
-        lam_inv = math.copysign((s + disc) / 2.0, t)
-        lam = 1.0 / lam_inv                # the member with |lam| < 1
-        if not 0 < abs(lam) < 1:  # exact |t| within float resolution of 2
-            raise ParamOutOfRange(f"lam = {lam!r} rounds to a boundary")
-        v_small = _real_eigendirection(U, lam)
-        v_big = _real_eigendirection(U, lam_inv)
-        return SpectralType("A", lam=lam, basis=(v_small, v_big))
     if band == "parabolic":
         eps, scalar = _scalar_test(U, cfg)
         if scalar:
             return SpectralType("B", eps=eps)
         return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
+    # A, B, C, D are U's entries over m: integers on an exact U, else the
+    # float entries over 1, where each expression below is the float one
+    if is_exact(U):
+        A, B, C, D, m = exact_integers(U)
+        a, b, c, d, t = A / m, B / m, C / m, D / m, (A + D) / m
+    else:
+        A, B, C, D = a, b, c, d = U.a, U.b, U.c, U.d
+        t, m = a + d, 1
+    if band == "hyperbolic":
+        # the large-modulus root has no cancellation and t*t cannot
+        # overflow; the small one is its inverse, since det = 1
+        s, n = abs(t), abs(A + D)
+        disc = math.sqrt((n - 2 * m) / m) * math.sqrt((n + 2 * m) / m)
+        lam_inv = (s + disc) / 2.0 if t > 0 else -(s + disc) / 2.0
+        lam = 1.0 / lam_inv                # the member with |lam| < 1
+        if not 0 < abs(lam) < 1:  # exact |t| within float resolution of 2
+            raise ParamOutOfRange(f"lam = {lam!r} rounds to a boundary")
+        v_small = _real_eigendirection(a, b, c, d, -C / m, lam)
+        v_big = _real_eigendirection(a, b, c, d, -C / m, lam_inv)
+        return SpectralType("A", lam=lam, basis=(v_small, v_big))
     # elliptic
     co = max(-1.0, min(1.0, t / 2.0))
     theta = math.acos(co)
     if not 0 < theta < math.pi:
         # an exact |t| within float resolution of 2: the angle's distance
         # from 0 or pi, from the exact 2 - |t|
-        off = 2.0 * math.asin(math.sqrt((2 - abs(t)) / 4))
+        off = 2.0 * math.asin(math.sqrt((2 * m - abs(A + D)) / (4 * m)))
         theta = off if t > 0 else math.pi - off
     ev = complex(co, math.sin(theta))  # exp(i theta0), even if co is +-1
-    if U.c - U.b < 0:
+    if C < B:
         theta = 2.0 * math.pi - theta
     if theta in (0.0, math.pi, 2.0 * math.pi):
         raise ParamOutOfRange(f"theta = {theta!r} rounds to a boundary")
     # the kernel of U - ev*I, from the row with the larger off-diagonal entry
-    if abs(U.b) >= abs(U.c):
-        u = (complex(U.b), ev - U.a)
+    if abs(B) >= abs(C):
+        u = (complex(b), ev - a)
     else:
-        u = (ev - U.d, complex(U.c))
+        u = (ev - d, complex(c))
     return SpectralType("D", theta=theta, basis=(
         (2.0 * u[0].real, 2.0 * u[1].real),
         (2.0 * u[0].imag, 2.0 * u[1].imag),
