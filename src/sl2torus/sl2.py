@@ -315,23 +315,26 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     trace_class names.  On an exact matrix the tolerance is 0, so the
     |tr| = 2 tests are exact and ClassificationAmbiguous cannot occur.
     Every other decision on an exact matrix is made on its integers (see
-    ``integers``), and every float is an integer quotient, so the results
-    are those of Fraction arithmetic up to the square roots and the final
-    float results."""
+    ``exact_integers``), and every float is an integer quotient, rounded
+    once, so the results are those of Fraction arithmetic, in which
+    Fraction op float is float(F) op x."""
     band = trace_class(U, cfg)
     if band == "parabolic":
         eps, scalar = _scalar_test(U, cfg)
         if scalar:
             return SpectralType("B", eps=eps)
         return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
-    # A, B, C, D are U's entries over m: integers on an exact U, else the
-    # float entries over 1, where each expression below is the float one
-    if is_exact(U):
+    # U is [[A, B], [C, D]] / m: integers on an exact U, else the float
+    # entries over 1, where each expression below is the float one; the
+    # entries become floats only after the boundary checks, so that one
+    # beyond the float range raises where it did in Fraction arithmetic
+    exact = is_exact(U)
+    if exact:
         A, B, C, D, m = exact_integers(U)
-        a, b, c, d, t = A / m, B / m, C / m, D / m, (A + D) / m
+        t = (A + D) / m
     else:
-        A, B, C, D = a, b, c, d = U.a, U.b, U.c, U.d
-        t, m = a + d, 1
+        A, B, C, D, m = U.a, U.b, U.c, U.d, 1
+        t = A + D
     if band == "hyperbolic":
         # the large-modulus root has no cancellation and t*t cannot
         # overflow; the small one is its inverse, since det = 1
@@ -341,6 +344,7 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
         lam = 1.0 / lam_inv                # the member with |lam| < 1
         if not 0 < abs(lam) < 1:  # exact |t| within float resolution of 2
             raise ParamOutOfRange(f"lam = {lam!r} rounds to a boundary")
+        a, b, c, d = (A / m, B / m, C / m, D / m) if exact else (A, B, C, D)
         v_small = _real_eigendirection(a, b, c, d, -C / m, lam)
         v_big = _real_eigendirection(a, b, c, d, -C / m, lam_inv)
         return SpectralType("A", lam=lam, basis=(v_small, v_big))
@@ -358,6 +362,7 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     if theta in (0.0, math.pi, 2.0 * math.pi):
         raise ParamOutOfRange(f"theta = {theta!r} rounds to a boundary")
     # the kernel of U - ev*I, from the row with the larger off-diagonal entry
+    a, b, c, d = (A / m, B / m, C / m, D / m) if exact else (A, B, C, D)
     if abs(B) >= abs(C):
         u = (complex(b), ev - a)
     else:
