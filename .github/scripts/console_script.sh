@@ -1,0 +1,25 @@
+#!/bin/bash
+# Runs the installed `sl2torus` console script outside the checkout, in a
+# new temporary directory; exits 1 on the first failed check.
+# - sample and canon on four sectors;
+# - edge.json, a hyperbolic matrix at the edge of the |tr| = 2 band: --out
+#   over a longer file, twice, must end with exactly the stdout bytes;
+# - plot twice over the same files, which must not change;
+# - exact.json, a CC and a DB record and the two exact errors: both
+#   commands exit 3 with the errors' Fraction details.
+set -eo pipefail  # as GitHub Actions runs a bash step
+cd "$(mktemp -d)"
+for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
+echo '{"pairs": [{"id": "p0", "U1": [[1.000000001, 1], [1e-9, 1]], "U2": [[1, 0], [0, 1]]}]}' > edge.json
+sl2torus canon edge.json > s.jsonl || exit 1
+head -c 100000 /dev/zero | tr '\0' x > c.jsonl
+sl2torus canon edge.json --out c.jsonl && sl2torus canon edge.json --out c.jsonl && cmp c.jsonl s.jsonl || exit 1
+sl2torus plot overall --out fig && cp fig.csv f0.csv && cp fig.svg f0.svg || exit 1
+sl2torus plot overall --out fig && cmp fig.csv f0.csv && cmp fig.svg f0.svg || exit 1
+echo '{"pairs": [{"id": "cc", "mode": "rational", "U1": [[1, [1, 1000000000000]], [0, 1]], "U2": [[1, [2, 1000000000000]], [0, 1]]}, {"id": "db", "mode": "rational", "U1": [[[3, 5], [-4, 5]], [[4, 5], [3, 5]]], "U2": [[-1, 0], [0, -1]]}, {"id": "nc", "mode": "rational", "U1": [[1, 1], [0, 1]], "U2": [[1, 0], [1, 1]]}, {"id": "det", "mode": "rational", "U1": [[2, 0], [0, 1]], "U2": [[1, 0], [0, 1]]}]}' > exact.json
+for c in canon classify; do
+  rc=0; sl2torus $c exact.json --out $c.jsonl || rc=$?
+  test $rc -eq 3 || exit 1
+  grep -F '"detail": "commutator norm Fraction(1, 1) exceeds tolerance", "error": "NOT_COMMUTING"' $c.jsonl || exit 1
+  grep -F '"detail": "matrix determinant is Fraction(2, 1), expected 1", "error": "DETERMINANT"' $c.jsonl || exit 1
+done
