@@ -19,7 +19,6 @@ from .sl2 import (
     classify,
     conjugate,
     exact_integers,
-    exact_trace,
     float_copy,
     is_exact,
     rotation,
@@ -280,12 +279,12 @@ _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
 
 
 def _traceless(U: SL2Matrix, exact: bool):
-    """(h, n): U's traceless part ((a - d)/2, b, c) is h / n; integers with
-    n > 0 on an exact pair, else floats with n = 1."""
+    """(h, t, n): U's traceless part ((a - d)/2, b, c) is h / n and its
+    trace t / n; integers with n > 0 on an exact pair, else floats, n = 1."""
     if exact:
         a, b, c, d, m = exact_integers(U)
-        return (a - d, 2 * b, 2 * c), 2 * m
-    return ((U.a - U.d) / 2, U.b, U.c), 1
+        return (a - d, 2 * b, 2 * c), 2 * (a + d), 2 * m
+    return ((U.a - U.d) / 2, U.b, U.c), U.a + U.d, 1
 
 
 def _largest(h):
@@ -305,13 +304,13 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     exact pair these are decided and computed in integers, and x and y are
     Fractions."""
     exact = is_exact(p.U1) and is_exact(p.U2)
-    (h1, n1), (h2, n2) = _traceless(p.U1, exact), _traceless(p.U2, exact)
+    (h1, t1, n1), (h2, t2, n2) = _traceless(p.U1, exact), _traceless(p.U2, exact)
     (k1, g1), (k2, g2) = _largest(h1), _largest(h2)
     swap = g2 * n1 > g1 * n2
     if swap:
-        P, O, hP, hO, nP, nO, k = p.U2, p.U1, h2, h1, n2, n1, k2
+        P, O, hP, hO, tP, tO, nP, nO, k = p.U2, p.U1, h2, h1, t2, t1, n2, n1, k2
     else:
-        P, O, hP, hO, nP, nO, k = p.U1, p.U2, h1, h2, n1, n2, k1
+        P, O, hP, hO, tP, tO, nP, nO, k = p.U1, p.U2, h1, h2, t1, t2, n1, n2, k1
     eps_o, o_scalar = scalar_band(O, cfg)
     t = classify(P, cfg)
     if t.tag == "B" and not o_scalar:
@@ -321,14 +320,13 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     if not o_scalar:
         if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
             raise SL2TorusError(f"basis of scalar {P!r} is degenerate")
-        if exact:  # y = yn / yd and x = (tr O - y tr P) / 2 = xn / xd
+        if exact:  # y = yn / yd, and x = (tr O - y tr P) / 2 as below
             y = Fraction(hO[k] * nP, hP[k] * nO)
-            (to, do), (tp, dp) = exact_trace(O), exact_trace(P)
             yn, yd = y.numerator, y.denominator
-            xy = (Fraction(to * dp * yd - yn * tp * do, 2 * do * dp * yd), y)
+            xy = (Fraction(tO * nP * yd - yn * tP * nO, 2 * nO * nP * yd), y)
         else:
             y = hO[k] / hP[k]
-            xy = ((O.trace() - y * P.trace()) / 2, y)
+            xy = ((tO - y * tP) / 2, y)
     sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, cfg)
     if o_scalar:
         params["eps2"] = eps_o
