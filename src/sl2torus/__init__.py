@@ -42,7 +42,8 @@ __version__ = "0.1.0"
 # loaded on first use (PEP 562): nothing else in the package uses the
 # oracle, and only plotting and sampling use the atlas and its constants
 _LAZY = {
-    "oracle": ("ConjugatorSearchReport", "exact_classify", "search_conjugator"),
+    "oracle": ("ConjugatorSearchReport", "exact_classify",
+               "search_conjugator"),
     "atlas": ("SEPARATED", "CellIncidence", "EmbeddedPoint", "SectorDomain",
               "component_key", "component_labels", "depiction_component",
               "embed", "incidence", "parameter_domain", "sample_sector",

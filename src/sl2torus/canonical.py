@@ -304,13 +304,16 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     exact pair these are decided and computed in integers, and x and y are
     Fractions."""
     exact = is_exact(p.U1) and is_exact(p.U2)
-    (h1, t1, n1), (h2, t2, n2) = _traceless(p.U1, exact), _traceless(p.U2, exact)
+    h1, t1, n1 = _traceless(p.U1, exact)
+    h2, t2, n2 = _traceless(p.U2, exact)
     (k1, g1), (k2, g2) = _largest(h1), _largest(h2)
     swap = g2 * n1 > g1 * n2
     if swap:
-        P, O, hP, hO, tP, tO, nP, nO, k = p.U2, p.U1, h2, h1, t2, t1, n2, n1, k2
+        P, O, k = p.U2, p.U1, k2
+        hP, hO, tP, tO, nP, nO = h2, h1, t2, t1, n2, n1
     else:
-        P, O, hP, hO, tP, tO, nP, nO, k = p.U1, p.U2, h1, h2, t1, t2, n1, n2, k1
+        P, O, k = p.U1, p.U2, k1
+        hP, hO, tP, tO, nP, nO = h1, h2, t1, t2, n1, n2
     eps_o, o_scalar = scalar_band(O, cfg)
     t = classify(P, cfg)
     if t.tag == "B" and not o_scalar:

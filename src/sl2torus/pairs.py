@@ -38,7 +38,8 @@ def make_pair(
     commutator entries +-(b1 c2 - b2 c1), b2 h1 - b1 h2 and c1 h2 - c2 h1,
     h = a - d, are 0 on U1 and U2 scaled to integers."""
     if is_exact(U1) and is_exact(U2):
-        (a1, b1, c1, d1, _), (a2, b2, c2, d2, _) = exact_integers(U1), exact_integers(U2)
+        a1, b1, c1, d1, _ = exact_integers(U1)
+        a2, b2, c2, d2, _ = exact_integers(U2)
         h1, h2 = a1 - d1, a2 - d2
         if b1 * c2 == b2 * c1 and b2 * h1 == b1 * h2 and c1 * h2 == c2 * h1:
             return CommutingPair(U1, U2)

@@ -243,8 +243,8 @@ def _parabolic_basis(U: SL2Matrix, eps):
     # by largest entry, so that a tiny one is not rounded to zero
     A, B, C, D, m = exact_integers(U)
     second = max(abs(B), abs(D - eps * m)) >= max(abs(A - eps * m), abs(C))
-    # scaled by 2**-k to determinant det(v1, w) = b or -c near 1, so that
-    # a nilpotent part far below the float range keeps its witness
+    # times 2**k, so that det(v1, w), which is b or -c, comes near 1 and a
+    # nilpotent part far below the float range keeps its witness
     x, y = (U.b, U.d) if second else (U.c, U.a)
     k = -(binary_exponent(x) // 2)
     v = (_fraction_times_power_of_two(x.numerator, x.denominator, k),

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2torus import SL2Matrix, classify, conjugate
-from sl2torus.cli import ParseFailure, _beyond_float_range, _entry_fraction, _pair
+from sl2torus.cli import (
+    ParseFailure,
+    _beyond_float_range,
+    _entry_fraction,
+    _pair,
+)
 from sl2torus.errors import DeterminantError, ParamOutOfRange
 from sl2torus.sl2 import float_copy
 

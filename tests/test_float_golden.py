@@ -27,5 +27,6 @@ GOLDEN = Path(__file__).parent / "golden"
 ])
 def test_float_records_match_golden_output(tmp_path, command, document):
     out = tmp_path / f"{command}.jsonl"
-    assert main([command, str(GOLDEN / document), "--out", str(out)]) == EXIT_OK
+    code = main([command, str(GOLDEN / document), "--out", str(out)])
+    assert code == EXIT_OK
     assert out.read_bytes() == (GOLDEN / f"float_{command}.jsonl").read_bytes()
