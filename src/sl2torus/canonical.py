@@ -16,6 +16,7 @@ from .sl2 import (
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
+    all_fractions,
     classify,
     conjugate,
     exact_integers,
@@ -178,8 +179,12 @@ def _det2(v, w):
     """det(v, w); SL2TorusError when v and w are parallel."""
     d = v[0] * w[1] - v[1] * w[0]
     if d == 0:
-        raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
+        raise _degenerate(v, w)
     return d
+
+
+def _degenerate(v, w):
+    return SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
 
 
 def _canon_A(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
@@ -204,12 +209,24 @@ def _unit_basis(v, w):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
     and w are parallel, or when an exact column has a float entry beyond
-    the float range."""
+    the float range.  On four Fractions the determinant is taken in
+    integers, and each float is an integer quotient."""
     try:
-        d = _det2(v, w)
-        sgn = 1 if d > 0 else -1
-        if sgn < 0:
-            v, d = (-v[0], -v[1]), -d
+        if all_fractions(*v, *w):
+            (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
+                (x.numerator, x.denominator) for x in (*v, *w))
+            n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det times q0 q1 s0 s1
+            if n == 0:
+                raise _degenerate(v, w)
+            sgn = 1 if n > 0 else -1
+            # an exact 0 negates to 0, whose float is 0.0, not -0.0
+            d = sgn * n / (q0 * q1 * s0 * s1)
+            v, w = (sgn * p0 / q0, sgn * p1 / q1), (r0 / s0, r1 / s1)
+        else:
+            d = _det2(v, w)
+            sgn = 1 if d > 0 else -1
+            if sgn < 0:
+                v, d = (-v[0], -v[1]), -d
         r = 1.0 / math.sqrt(d)
         return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
     except OverflowError:
@@ -239,8 +256,10 @@ def _canon_C(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     else:
         alpha = base + math.pi
     cos_a = math.cos(alpha)
-    # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
-    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
+    # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0; float(F) op x
+    # is F op x, without the mixed operation
+    S, _ = _unit_basis((float(v1[0]) / cos_a, float(v1[1]) / cos_a),
+                       (float(w[0]), float(w[1])))
     return "CC", {"eps1": eps1, "eps2": eps2, "alpha": alpha}, S, c, sgn
 
 

@@ -137,7 +137,7 @@ def commutator_norm(U1: SL2Matrix, U2: SL2Matrix) -> float:
     )
 
 
-def _all_fractions(a, b, c, d) -> bool:
+def all_fractions(a, b, c, d) -> bool:
     return (type(a) is Fraction and type(b) is Fraction
             and type(c) is Fraction and type(d) is Fraction)
 
@@ -153,7 +153,7 @@ def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
 
     Four Fraction entries are kept and their determinant, tested in
     integers, must be exactly 1; any other input is converted to floats."""
-    if _all_fractions(a, b, c, d):
+    if all_fractions(a, b, c, d):
         dad, dbc = a.denominator * d.denominator, b.denominator * c.denominator
         if (a.numerator * d.numerator * dbc - b.numerator * c.numerator * dad
                 != dad * dbc):
