@@ -161,9 +161,9 @@ def _entry_fraction(e, where):
 
 
 def _beyond_float_range(n, d):
-    """Whether float(Fraction(n, d)) overflows, as classification, which
-    takes square roots in floats, would: n / d is the same correctly
-    rounded quotient, without building the Fraction."""
+    """Whether float(Fraction(n, d)) overflows; classification takes
+    square roots in floats.  n / d is the same correctly rounded quotient,
+    so the Fraction is not built."""
     try:
         n / d
     except OverflowError:
