@@ -136,9 +136,9 @@ def exact_comparisons(seed=25):
     cc = (_exact(1, tiny, 0, 1), _exact(1, 2 * tiny, 0, 1))
     S = _conjugator(rng)
     comps += [
-        (cc, (conjugate(cc[0], S), conjugate(cc[1], S))),         # EQUIVALENT
-        (cc, (cc[1], cc[0])),                                       # DISTINCT
-        (cc, (_exact(1, 1, 0, 1), _exact(1, 0, 1, 1))),     # NOT_COMMUTING
+        (cc, (conjugate(cc[0], S), conjugate(cc[1], S))),  # EQUIVALENT
+        (cc, (cc[1], cc[0])),                              # DISTINCT
+        (cc, (_exact(1, 1, 0, 1), _exact(1, 0, 1, 1))),    # NOT_COMMUTING
     ]
     return {"comparisons": [
         {"id": f"q{i}", "mode": "rational",
