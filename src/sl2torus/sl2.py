@@ -180,10 +180,9 @@ def float_copy(U: SL2Matrix) -> SL2Matrix:
 
 def exact_integers(U: SL2Matrix):
     """(A, B, C, D, m) for an exact U: its entries times m, the product of
-    their denominators, all integers, m > 0.  Exact decisions compare these;
-    a float of an exact quantity is an integer quotient such as A / m,
-    which is correctly rounded, and so is the float Fraction arithmetic
-    would give."""
+    their denominators, all integers, m > 0.  Exact decisions compare these,
+    and a float of an exact quantity is an integer quotient such as A / m:
+    it is correctly rounded, so it is the float Fraction arithmetic gives."""
     a, b, c, d = U.a, U.b, U.c, U.d
     da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
     dab, dcd = da * db, dc * dd
@@ -213,8 +212,8 @@ def _fraction_times_power_of_two(n: int, d: int, k: int) -> Fraction:
 
 def _real_eigendirection(a, b, c, d, minus_c, lam):
     """Unit kernel vector of [[a, b], [c, d]] - lam*I, sign-normalized.
-    minus_c is -c: the float of an exact -0 is 0.0, where the float copy
-    negates to -0.0."""
+    minus_c is -c as a float; for an exact c = 0 it is the float of the
+    exact -c, 0.0, where negating the float copy would give -0.0."""
     if math.hypot(a - lam, b) >= math.hypot(c, d - lam):
         x, y = b, -(a - lam)
     else:
@@ -243,17 +242,18 @@ def _parabolic_basis(U: SL2Matrix, eps):
     # by largest entry, so that a tiny one is not rounded to zero
     A, B, C, D, m = exact_integers(U)
     second = max(abs(B), abs(D - eps * m)) >= max(abs(A - eps * m), abs(C))
-    # times 2**k, so that det(v1, w), which is b or -c, comes near 1 and a
-    # nilpotent part far below the float range keeps its witness
-    x, y = (U.b, U.d) if second else (U.c, U.a)
-    k = -(binary_exponent(x) // 2)
-    v = (_fraction_times_power_of_two(x.numerator, x.denominator, k),
-         _fraction_times_power_of_two(y.numerator - eps * y.denominator,
-                                      y.denominator, k))
+    # the column (b, d - eps) or (a - eps, c) and w times 2**k, so that
+    # det(v1, w), which is b or -c, comes near 1 and a nilpotent part far
+    # below the float range keeps its witness
+    off, diag = (U.b, U.d) if second else (U.c, U.a)
+    k = -(binary_exponent(off) // 2)
+    off = _fraction_times_power_of_two(off.numerator, off.denominator, k)
+    diag = _fraction_times_power_of_two(
+        diag.numerator - eps * diag.denominator, diag.denominator, k)
     one, zero = _fraction_times_power_of_two(1, 1, k), Fraction(0)
     if second:
-        return v, (zero, one)
-    return v[::-1], (one, zero)
+        return (off, diag), (zero, one)
+    return (diag, off), (one, zero)
 
 
 @dataclass(slots=True)
