@@ -6,7 +6,9 @@
 #   over a longer file, twice, must end with exactly the stdout bytes;
 # - plot twice over the same files, which must not change;
 # - exact.json, a CC and a DB record and the two exact errors: both
-#   commands exit 3 with the errors' Fraction details.
+#   commands exit 3 with the errors' Fraction details;
+# - coupling.json, an exact CC pair with coupling 1e-9, below param_tol,
+#   in both orders: canon answers CC for each with exit 0.
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -23,3 +25,6 @@ for c in canon classify; do
   grep -F '"detail": "commutator norm Fraction(1, 1) exceeds tolerance", "error": "NOT_COMMUTING"' $c.jsonl || exit 1
   grep -F '"detail": "matrix determinant is Fraction(2, 1), expected 1", "error": "DETERMINANT"' $c.jsonl || exit 1
 done
+echo '{"pairs": [{"id": "fwd", "mode": "rational", "U1": [[1, 1], [0, 1]], "U2": [[1, [1, 1000000000]], [0, 1]]}, {"id": "back", "mode": "rational", "U1": [[1, [1, 1000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}]}' > coupling.json
+sl2torus canon coupling.json --out coupling.jsonl || exit 1
+test "$(grep -c '"sector": "CC"' coupling.jsonl)" -eq 2 || exit 1

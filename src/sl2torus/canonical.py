@@ -16,14 +16,12 @@ from .sl2 import (
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
-    all_fractions,
-    classify,
+    _classify,
+    _floats,
+    _integers,
+    _scalar_band,
     conjugate,
-    exact_integers,
-    float_copy,
-    is_exact,
     rotation,
-    scalar_band,
 )
 
 SECTORS = ("AA1", "AA2", "AB", "BA", "BB", "BC", "CB", "BD", "DB", "CC", "DD")
@@ -167,7 +165,9 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 # ---------------------------------------------------------------------------
 # one construction per spectral family of the pivot P (A, C or D); its
-# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2
+# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2.
+# F is P's integer form (sl2.exact_integers) on an exact pair, where x and
+# y are Fractions, and None otherwise
 # ---------------------------------------------------------------------------
 
 
@@ -187,7 +187,7 @@ def _degenerate(v, w):
     return SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
 
 
-def _canon_A(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_A(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
     if xy:
         x, y = float(xy[0]), float(xy[1])
@@ -205,14 +205,14 @@ def _canon_A(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     return "AA1" if aa1 else "AA2", {"lam": lam, "mu": mu}, S, None, sgn
 
 
-def _unit_basis(v, w):
+def _unit_basis(v, w, exact):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
     and w are parallel, or when an exact column has a float entry beyond
-    the float range.  On four Fractions the determinant is taken in
-    integers, and each float is an integer quotient."""
+    the float range.  On exact columns, four Fractions, the determinant is
+    taken in integers, and each float is an integer quotient."""
     try:
-        if all_fractions(*v, *w):
+        if exact:
             (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
                 (x.numerator, x.denominator) for x in (*v, *w))
             n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det times q0 q1 s0 s1
@@ -233,34 +233,65 @@ def _unit_basis(v, w):
         raise SL2TorusError("witness beyond the float range") from None
 
 
-def _canon_C(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_C(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
         # sign flips and the two signs are not related by any
         # unit-determinant conjugation
-        S, sgn = _unit_basis(v1, w)
+        S, sgn = _unit_basis(v1, w, F is not None)
         return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
-    x, y = xy
     # O w = y v1 + eps_o w, and c is the coupling U2 w - eps2 w = c v1 in
     # U1's basis, which is (y v1, w) when U1 is O
-    if abs(y) <= (0 if swap else cfg.param_tol):
-        raise DegenerateCC(f"coupling scalar {y!r} vanishes within tolerance")
-    eps1, eps2, c = t.eps, (1 if x + y * t.eps > 0 else -1), y
+    if F is not None:
+        eps2, c, cf, v1, w, sgn = _exact_coupling(t.eps, xy, v1, w, swap)
+    else:
+        x, y = xy
+        if abs(y) <= (0 if swap else cfg.param_tol):
+            raise DegenerateCC(f"coupling scalar {y!r} vanishes within "
+                               "tolerance")
+        eps2, c = (1 if x + y * t.eps > 0 else -1), y
+        if swap:
+            v1, c = (y * v1[0], y * v1[1]), 1 / y
+        sgn = 1 if _det2(v1, w) > 0 else -1
+        # the exact P of a mixed pair has a Fraction basis; float(F) op x
+        # is F op x, without the mixed operation
+        cf, v1, w = c, (float(v1[0]), float(v1[1])), (float(w[0]), float(w[1]))
+    eps1 = t.eps
     if swap:
-        v1, eps1, eps2, c = (y * v1[0], y * v1[1]), eps2, eps1, 1 / y
-    sgn = 1 if _det2(v1, w) > 0 else -1
-    base = math.atan(c)  # in (-pi/2, pi/2), cos > 0
+        eps1, eps2 = eps2, eps1
+    base = math.atan(cf)  # in (-pi/2, pi/2), cos > 0
     if sgn > 0:
         alpha = base if base > 0 else base + _TWO_PI
     else:
         alpha = base + math.pi
     cos_a = math.cos(alpha)
-    # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0; float(F) op x
-    # is F op x, without the mixed operation
-    S, _ = _unit_basis((float(v1[0]) / cos_a, float(v1[1]) / cos_a),
-                       (float(w[0]), float(w[1])))
+    # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
+    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w, False)
     return "CC", {"eps1": eps1, "eps2": eps2, "alpha": alpha}, S, c, sgn
+
+
+def _exact_coupling(eps, xy, v1, w, swap):
+    """_canon_C's decisions on an exact pair, in integers: (eps2, c, the
+    float of c, v1 and w as floats, sign of det(v1, w)), with y v1 for v1
+    and 1 / y for c when swap.  x, y and the columns are Fractions, and the
+    tolerance is 0, so only y = 0 is degenerate."""
+    (xn, xd), (yn, yd) = ((z.numerator, z.denominator) for z in xy)
+    if yn == 0:
+        raise DegenerateCC(f"coupling scalar {xy[1]!r} vanishes within "
+                           "tolerance")
+    eps2 = 1 if xn * yd + eps * yn * xd > 0 else -1  # sign of x + y eps
+    (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
+        (z.numerator, z.denominator) for z in (*v1, *w))
+    n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det(v1, w) times q0 q1 s0 s1
+    if n == 0:
+        raise _degenerate(v1, w)
+    c = xy[1]
+    if swap:  # y v1, whose determinant with w is y det(v1, w)
+        p0, q0, p1, q1, n, c = yn * p0, yd * q0, yn * p1, yd * q1, yn * n, \
+            Fraction(yd, yn)
+    return (eps2, c, c.numerator / c.denominator, (p0 / q0, p1 / q1),
+            (r0 / s0, r1 / s1), 1 if n > 0 else -1)
 
 
 def _rotation_angle(si, co) -> float:
@@ -268,10 +299,12 @@ def _rotation_angle(si, co) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_D(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
-    S, sgn = _unit_basis(*t.basis)
-    R = conjugate(float_copy(P), S)  # the rotation by P's angle
+    S, sgn = _unit_basis(*t.basis, False)
+    # the rotation by P's angle; on a mixed pair's exact P, Fraction op
+    # float is float(F) op x, as on the float copy
+    R = conjugate(_floats(P, F), S)
     theta = _rotation_angle(R.c, R.a)
     if not xy:
         return "DB", {"theta": theta}, S, None, sgn
@@ -287,8 +320,9 @@ def _canon_D(P, t: SpectralType, xy, swap, cfg: ToleranceConfig):
 # eps2 left out; the BB witness is a new identity, not sl2.IDENTITY, which
 # a caller could change through the answer
 _FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D,
-           "B": lambda P, t, *_: ("BB", {"eps1": t.eps},
-                                  SL2Matrix(1.0, 0.0, 0.0, 1.0), None, None)}
+           "B": lambda P, F, t, *_: ("BB", {"eps1": t.eps},
+                                     SL2Matrix(1.0, 0.0, 0.0, 1.0), None,
+                                     None)}
 
 # BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
 # conjugation commutes with the exchange, so one witness serves both
@@ -297,21 +331,20 @@ _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
                  "lam": "mu", "theta": "phi"}
 
 
-def _traceless(U: SL2Matrix, exact: bool):
-    """(h, t, n): U's traceless part ((a - d)/2, b, c) is h / n and its
-    trace t / n; integers with n > 0 on an exact pair, else floats, n = 1."""
-    if exact:
-        a, b, c, d, m = exact_integers(U)
-        return (a - d, 2 * b, 2 * c), 2 * (a + d), 2 * m
-    return ((U.a - U.d) / 2, U.b, U.c), U.a + U.d, 1
-
-
-def _largest(h):
-    """Index and size of the first largest |entry| of the triple h."""
+def _traceless(U: SL2Matrix, F):
+    """(h, t, n, k, g): U's traceless part ((a - d)/2, b, c) is h / n and
+    its trace t / n, h[k] is the first entry of the largest size g = |h[k]|;
+    integers with n > 0 from the integer form F, else floats (Fractions for
+    the exact matrix of a mixed pair), n = 1."""
+    if F is not None:
+        a, b, c, d, m = F
+        h, t, n = (a - d, 2 * b, 2 * c), 2 * (a + d), 2 * m
+    else:
+        h, t, n = ((U.a - U.d) / 2, U.b, U.c), U.a + U.d, 1
     x, y, z = abs(h[0]), abs(h[1]), abs(h[2])
     if x >= y and x >= z:
-        return 0, x
-    return (1, y) if y >= z else (2, z)
+        return h, t, n, 0, x
+    return (h, t, n, 1, y) if y >= z else (h, t, n, 2, z)
 
 
 def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> CanonicalPair:
@@ -322,22 +355,24 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     P's largest entry, which cannot overflow as a squared norm can.  On an
     exact pair these are decided and computed in integers, and x and y are
     Fractions."""
-    exact = is_exact(p.U1) and is_exact(p.U2)
-    h1, t1, n1 = _traceless(p.U1, exact)
-    h2, t2, n2 = _traceless(p.U2, exact)
-    (k1, g1), (k2, g2) = _largest(h1), _largest(h2)
+    U1, U2 = p.U1, p.U2
+    F1, F2 = _integers(U1), _integers(U2)  # each matrix's form, built once
+    exact = F1 is not None and F2 is not None
+    h1, t1, n1, k1, g1 = _traceless(U1, F1 if exact else None)
+    h2, t2, n2, k2, g2 = _traceless(U2, F2 if exact else None)
     swap = g2 * n1 > g1 * n2
     if swap:
-        P, O, k = p.U2, p.U1, k2
+        P, O, FP, FO, k = U2, U1, F2, F1, k2
         hP, hO, tP, tO, nP, nO = h2, h1, t2, t1, n2, n1
     else:
-        P, O, k = p.U1, p.U2, k1
+        P, O, FP, FO, k = U1, U2, F1, F2, k1
         hP, hO, tP, tO, nP, nO = h1, h2, t1, t2, n1, n2
-    eps_o, o_scalar = scalar_band(O, cfg)
-    t = classify(P, cfg)
+    eps_o, o_scalar = _scalar_band(O, FO, cfg)
+    t = _classify(P, FP, cfg)
     if t.tag == "B" and not o_scalar:
         # only with det_tol well above class_tol: O becomes the pivot
-        P, t, eps_o, o_scalar, swap = O, classify(O, cfg), t.eps, True, not swap
+        P, FP, t, eps_o, o_scalar, swap = (
+            O, FO, _classify(O, FO, cfg), t.eps, True, not swap)
     xy = None
     if not o_scalar:
         if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
@@ -349,7 +384,8 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         else:
             y = hO[k] / hP[k]
             xy = ((tO - y * tP) / 2, y)
-    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, cfg)
+    sector, params, S, c, sgn = _FAMILY[t.tag](
+        P, FP if exact else None, t, xy, swap, cfg)
     if o_scalar:
         params["eps2"] = eps_o
         if swap:
@@ -359,35 +395,41 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     result = CanonicalPair(sector, params, S, CanonTrace(c, sgn, notes))
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
-    target = reconstruct(result.sector, result.params)
-    W = result.witness
-    exact = is_exact(p.U1) or is_exact(p.U2)
-    q = CommutingPair(float_copy(p.U1), float_copy(p.U2)) if exact else p
-    tol = 10.0 * cfg.param_tol * _scale(q)
-    err = _witness_error(q, W, target)
-    if err > tol and exact:
+    target = reconstruct(sector, params)
+    Q1, Q2 = _floats(U1, F1), _floats(U2, F2)
+    tol = 10.0 * cfg.param_tol * max(
+        1.0, abs(Q1.a), abs(Q1.b), abs(Q1.c), abs(Q1.d),
+        abs(Q2.a), abs(Q2.b), abs(Q2.c), abs(Q2.d))
+    err = _witness_error(Q1, Q2, S, target)
+    if err > tol and (F1 is not None or F2 is not None):
         # a float product rounds an exact entry far below the float range
         # to zero, so exact input that fails is checked again exactly
-        W = SL2Matrix(*(Fraction(x) for x in (W.a, W.b, W.c, W.d)))
-        err = _witness_error(p, W, target)
+        W = SL2Matrix(*(Fraction(x) for x in (S.a, S.b, S.c, S.d)))
+        err = _witness_error(U1, U2, W, target)
     if err > tol:
         raise SL2TorusError(
-            f"internal witness validation failed ({result.sector}, err {err:.3e})"
+            f"internal witness validation failed ({sector}, err {err:.3e})"
         )
     return result
 
 
-def _witness_error(p: CommutingPair, W: SL2Matrix, target: CommutingPair):
-    got = apply_conjugation(p, W)
-    return max(got.U1.max_abs_diff(target.U1), got.U2.max_abs_diff(target.U2))
-
-
-def _scale(p: CommutingPair):
-    return max(
-        1.0,
-        abs(p.U1.a), abs(p.U1.b), abs(p.U1.c), abs(p.U1.d),
-        abs(p.U2.a), abs(p.U2.b), abs(p.U2.c), abs(p.U2.d),
-    )
+def _witness_error(U1, U2, W, target: CommutingPair):
+    """Largest entry of |W^-1 Ui W - Ti| over i = 1, 2, T the target pair,
+    entry by entry with the operations of conjugate and of
+    SL2Matrix.max_abs_diff in the same order, so it is the same number as
+    max(conjugate(Ui, W).max_abs_diff(Ti) for both i)."""
+    sa, sb, sc, sd = W.a, W.b, W.c, W.d
+    nb, nc = -sb, -sc
+    T1, T2 = target.U1, target.U2
+    ma, mb = sd * U1.a + nb * U1.c, sd * U1.b + nb * U1.d
+    mc, md = nc * U1.a + sa * U1.c, nc * U1.b + sa * U1.d
+    e1 = max(abs(ma * sa + mb * sc - T1.a), abs(ma * sb + mb * sd - T1.b),
+             abs(mc * sa + md * sc - T1.c), abs(mc * sb + md * sd - T1.d))
+    ma, mb = sd * U2.a + nb * U2.c, sd * U2.b + nb * U2.d
+    mc, md = nc * U2.a + sa * U2.c, nc * U2.b + sa * U2.d
+    e2 = max(abs(ma * sa + mb * sc - T2.a), abs(ma * sb + mb * sd - T2.b),
+             abs(mc * sa + md * sc - T2.c), abs(mc * sb + md * sd - T2.d))
+    return max(e1, e2)
 
 
 def equivalent(

@@ -39,7 +39,13 @@ from .errors import (
     SL2TorusError,
 )
 from .pairs import make_pair, spectral_types
-from .sl2 import ToleranceConfig, exact_trace, is_exact, make_sl2, trace_class
+from .sl2 import (
+    ToleranceConfig,
+    exact_integers,
+    is_exact,
+    make_sl2,
+    trace_class,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -265,7 +271,8 @@ def _canon_record(rec, where, mode, cfg):
             exact["det_sprime_sign"] = result.trace.det_sprime_sign
         for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
             if trace_class(U, cfg) == "elliptic":  # cos = tr / 2 = n / 2m
-                n, m = exact_trace(U)
+                A, _, _, D, m = exact_integers(U)
+                n = A + D
                 g = math.gcd(n, 2 * m)
                 exact[key] = [n // g, 2 * m // g]
         if exact:

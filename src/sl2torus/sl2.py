@@ -137,11 +137,6 @@ def commutator_norm(U1: SL2Matrix, U2: SL2Matrix) -> float:
     )
 
 
-def all_fractions(a, b, c, d) -> bool:
-    return (type(a) is Fraction and type(b) is Fraction
-            and type(c) is Fraction and type(d) is Fraction)
-
-
 def is_exact(U: SL2Matrix) -> bool:
     """True when all four entries are Fractions, so tests on U are exact."""
     return (type(U.a) is Fraction and type(U.b) is Fraction
@@ -152,8 +147,10 @@ def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     """Validating constructor; rejects (never renormalizes) non-unit det.
 
     Four Fraction entries are kept and their determinant, tested in
-    integers, must be exactly 1; any other input is converted to floats."""
-    if all_fractions(a, b, c, d):
+    integers, must be exactly 1; any other input is converted to floats.
+    This is is_exact's test, on the arguments before a matrix is built."""
+    if (type(a) is Fraction and type(b) is Fraction
+            and type(c) is Fraction and type(d) is Fraction):
         dad, dbc = a.denominator * d.denominator, b.denominator * c.denominator
         if (a.numerator * d.numerator * dbc - b.numerator * c.numerator * dad
                 != dad * dbc):
@@ -171,18 +168,15 @@ def float_copy(U: SL2Matrix) -> SL2Matrix:
     so an expression that takes each entry into a float operation first
     gives the same bits on the copy; not so -F / x (0.0 for F = 0, -0.0 on
     the copy) or F1 * F2 + x (rounded once, on the copy twice)."""
-    if not is_exact(U):
-        return U
-    a, b, c, d = U.a, U.b, U.c, U.d  # float(F) is F.numerator / F.denominator
-    return SL2Matrix(a.numerator / a.denominator, b.numerator / b.denominator,
-                     c.numerator / c.denominator, d.numerator / d.denominator)
+    return _floats(U, _integers(U))
 
 
 def exact_integers(U: SL2Matrix):
     """(A, B, C, D, m) for an exact U: its entries times m, the product of
     their denominators, all integers, m > 0.  Exact decisions compare these,
     and a float of an exact quantity is an integer quotient such as A / m:
-    it is correctly rounded, so it is the float Fraction arithmetic gives."""
+    it is correctly rounded, so it is the float Fraction arithmetic gives;
+    the trace is (A + D) / m."""
     a, b, c, d = U.a, U.b, U.c, U.d
     da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
     dab, dcd = da * db, dc * dd
@@ -190,11 +184,20 @@ def exact_integers(U: SL2Matrix):
             c.numerator * dab * dd, d.numerator * dab * dc, dab * dcd)
 
 
-def exact_trace(U: SL2Matrix):
-    """(n, m), n / m the trace of an exact U and m > 0, in integers."""
-    a, d = U.a, U.d
-    return (a.numerator * d.denominator + d.numerator * a.denominator,
-            a.denominator * d.denominator)
+def _integers(U: SL2Matrix):
+    """U's form: exact_integers(U) on an exact U, else None.  Each public
+    entry point builds it once per matrix, and the helpers below read the
+    form they are given instead of testing U's entries again."""
+    return exact_integers(U) if is_exact(U) else None
+
+
+def _floats(U: SL2Matrix, F) -> SL2Matrix:
+    """float_copy(U) for U of form F; A / m is float(a), both correctly
+    rounded quotients of one rational."""
+    if F is None:
+        return U
+    A, B, C, D, m = F
+    return SL2Matrix(A / m, B / m, C / m, D / m)
 
 
 def binary_exponent(x: Fraction) -> int:
@@ -228,19 +231,19 @@ def _real_eigendirection(a, b, c, d, minus_c, lam):
     return (x, y)
 
 
-def _parabolic_basis(U: SL2Matrix, eps):
+def _parabolic_basis(U: SL2Matrix, eps, F):
     """Columns v1, w with U v1 = eps v1 and U w = v1 + eps w, for a
     non-scalar parabolic U.  v1 is the larger column of the nilpotent part
     N = U - eps*I, which spans the kernel of N, and w the standard basis
     vector with N w = v1, which yields the identity witness on canonical
-    input."""
-    if not is_exact(U):
+    input.  F is U's form."""
+    if F is None:
         c1, c2 = (U.a - eps, U.c), (U.b, U.d - eps)
         if math.hypot(*c2) >= math.hypot(*c1):
             return c2, (0, 1)
         return c1, (1, 0)
     # by largest entry, so that a tiny one is not rounded to zero
-    A, B, C, D, m = exact_integers(U)
+    A, B, C, D, m = F
     second = max(abs(B), abs(D - eps * m)) >= max(abs(A - eps * m), abs(C))
     # the column (b, d - eps) or (a - eps, c) and w times 2**k, so that
     # det(v1, w), which is b or -c, comes near 1 and a nilpotent part far
@@ -274,9 +277,13 @@ def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     with off = |tr U| - 2, parabolic when |off| <= class_tol (0 on an exact
     matrix), else hyperbolic when off > 0 and elliptic when off < 0.  For
     |tr| in [1, 4], off is exact in floats (Sterbenz), and so is its sign."""
-    if is_exact(U):  # off times the positive denominator of tr U
-        n, m = exact_trace(U)
-        off, tol = abs(n) - 2 * m, 0
+    return _trace_class(U, _integers(U), cfg)
+
+
+def _trace_class(U: SL2Matrix, F, cfg: ToleranceConfig) -> str:
+    if F is not None:  # off times the denominator m > 0 of the form F
+        A, _, _, D, m = F
+        off, tol = abs(A + D) - 2 * m, 0
     else:
         off, tol = abs(U.a + U.d) - 2, cfg.class_tol
     if abs(off) <= tol:
@@ -284,13 +291,14 @@ def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     return "hyperbolic" if off > 0 else "elliptic"
 
 
-def _scalar_test(U: SL2Matrix, cfg: ToleranceConfig):
-    """(eps, scalar) for U in the parabolic band: eps the sign of tr U, and
-    whether U is eps*I within class_tol; ClassificationAmbiguous between
-    class_tol and AMBIG_FACTOR * class_tol."""
-    if is_exact(U):  # tolerance 0, so no band
-        eps = 1 if exact_trace(U)[0] > 0 else -1
-        return eps, U.b == 0 and U.c == 0 and U.a == eps and U.d == eps
+def _scalar_test(U: SL2Matrix, F, cfg: ToleranceConfig):
+    """(eps, scalar) for U of form F in the parabolic band: eps the sign of
+    tr U, and whether U is eps*I within class_tol; ClassificationAmbiguous
+    between class_tol and AMBIG_FACTOR * class_tol."""
+    if F is not None:  # tolerance 0, so no band
+        A, B, C, D, m = F
+        eps = 1 if A + D > 0 else -1
+        return eps, B == 0 and C == 0 and A == eps * m and D == eps * m
     eps = 1 if U.a + U.d > 0 else -1
     tol = cfg.class_tol
     dev = max(abs(U.a - eps), abs(U.b), abs(U.c), abs(U.d - eps))
@@ -305,9 +313,13 @@ def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
     """classify's B test: (eps, scalar), eps the sign of tr U when
     trace_class says parabolic, else None, and whether U is then eps*I
     within tolerance."""
-    if trace_class(U, cfg) != "parabolic":
+    return _scalar_band(U, _integers(U), cfg)
+
+
+def _scalar_band(U: SL2Matrix, F, cfg: ToleranceConfig):
+    if _trace_class(U, F, cfg) != "parabolic":
         return None, False
-    return _scalar_test(U, cfg)
+    return _scalar_test(U, F, cfg)
 
 
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
@@ -318,19 +330,24 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     ``exact_integers``), and every float is an integer quotient, rounded
     once, so the results are those of Fraction arithmetic, in which
     Fraction op float is float(F) op x."""
-    band = trace_class(U, cfg)
+    return _classify(U, _integers(U), cfg)
+
+
+def _classify(U: SL2Matrix, F, cfg: ToleranceConfig) -> SpectralType:
+    """classify for U of form F."""
+    band = _trace_class(U, F, cfg)
     if band == "parabolic":
-        eps, scalar = _scalar_test(U, cfg)
+        eps, scalar = _scalar_test(U, F, cfg)
         if scalar:
             return SpectralType("B", eps=eps)
-        return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
+        return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps, F))
     # U is [[A, B], [C, D]] / m: integers on an exact U, else the float
     # entries over 1, where each expression below is the float one; the
     # entries become floats only after the boundary checks, so that one
     # beyond the float range raises where it did in Fraction arithmetic
-    exact = is_exact(U)
+    exact = F is not None
     if exact:
-        A, B, C, D, m = exact_integers(U)
+        A, B, C, D, m = F
         t = (A + D) / m
     else:
         A, B, C, D, m = U.a, U.b, U.c, U.d, 1

@@ -29,15 +29,18 @@ from sl2torus.atlas import (
     sample_params,
     sample_sector,
 )
+from sl2torus import sl2
 from sl2torus.canonical import (
     AXIS_COMPONENTS,
     SECTOR_CONTINUOUS,
     SECTORS,
     CanonicalPair,
     _unit_basis,
+    _witness_error,
     component_index,
 )
-from sl2torus.sl2 import IDENTITY
+from sl2torus.pairs import CommutingPair
+from sl2torus.sl2 import IDENTITY, classify, conjugate
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
@@ -160,7 +163,8 @@ def test_bc_sign_is_sl2_invariant():
 def test_unit_basis_rejects_parallel_vectors(one):
     # a bare SL2TorusError, which the CLI reports as INTERNAL_VALIDATION
     with pytest.raises(SL2TorusError, match="degenerate") as exc:
-        _unit_basis((0 * one, one / 100000), (0 * one, one))
+        _unit_basis((0 * one, one / 100000), (0 * one, one),
+                    type(one) is Fraction)
     assert type(exc.value) is SL2TorusError
 
 
@@ -596,3 +600,66 @@ def test_exact_and_float_input_agree(sector, data):
         assert abs(x - y) <= 1e-9
     if sector == "CC":
         assert isinstance(exact.trace.c, Fraction)
+
+
+def _exact_conjugated_pair(sector, data):
+    m1, m2 = _rational_canonical(sector, data.draw)
+    p = data.draw(st.fractions(-2, 2, max_denominator=3))
+    S = SL2Matrix(Fraction(1), p, Fraction(0), Fraction(1))
+    return make_pair(conjugate(SL2Matrix(*m1), S), conjugate(SL2Matrix(*m2), S))
+
+
+@given(sector_st, st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_input_builds_each_integer_form_once(sector, data):
+    # exactness is decided once per matrix and its integer form passed down
+    # to the band, scalar, basis and coupling decisions
+    p = _exact_conjugated_pair(sector, data)
+    calls = []
+    real = sl2.exact_integers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl2, "exact_integers", lambda U: calls.append(U) or real(U))
+        assert canonicalize(p).sector == sector
+        assert calls == [p.U1, p.U2]
+        calls.clear()
+        for U in (p.U1, p.U2):
+            classify(U)
+        assert calls == [p.U1, p.U2]
+
+
+def test_float_canonicalize_tests_exactness_once_per_matrix(monkeypatch):
+    calls = []
+    real = sl2.is_exact
+    monkeypatch.setattr(sl2, "is_exact", lambda U: calls.append(U) or real(U))
+    q = apply_conjugation(reconstruct("CC", {"eps1": 1, "eps2": -1,
+                                             "alpha": 2.0}),
+                          sl2_from_coords(0.3, 0.2, -0.4))
+    assert canonicalize(q).sector == "CC"
+    assert calls == [q.U1, q.U2]
+
+
+# --- the entry-wise witness check against the products it replaces --------
+
+float_matrices = st.builds(SL2Matrix, *[st.floats(-1e3, 1e3)] * 4)
+any_float_matrices = st.builds(SL2Matrix, *[st.floats()] * 4)
+exact_matrices = st.builds(
+    SL2Matrix, *[st.fractions(-100, 100, max_denominator=50)] * 4)
+
+
+@given(st.one_of(
+    st.tuples(float_matrices, float_matrices, float_matrices),
+    # inf and NaN, where max keeps its first argument
+    st.tuples(any_float_matrices, any_float_matrices, any_float_matrices),
+    # exact input against a float witness, and the exact retry
+    st.tuples(exact_matrices, exact_matrices, float_matrices),
+    st.tuples(exact_matrices, exact_matrices, exact_matrices),
+    # a mixed pair
+    st.tuples(exact_matrices, float_matrices, float_matrices),
+), any_float_matrices, float_matrices)
+@settings(max_examples=400)
+def test_witness_error_equals_conjugation_and_max_abs_diff(UUW, T1, T2):
+    U1, U2, W = UUW
+    got = _witness_error(U1, U2, W, CommutingPair(T1, T2))
+    q = apply_conjugation(CommutingPair(U1, U2), W)
+    want = max(q.U1.max_abs_diff(T1), q.U2.max_abs_diff(T2))
+    assert type(got) is type(want) and repr(got) == repr(want)

@@ -557,15 +557,30 @@ def test_canon_rational_tiny_cc(tmp_path):
 
 
 def test_canon_forbidden_combo(tmp_path):
-    # hyperbolic with parabolic cannot commute; force the combo path with
-    # a rational pair that does commute only trivially -> still caught as
-    # non-commuting, so use the degenerate CC route for a domain error
-    near = [[1, [1, 100000000]], [0, 1]]
-    inp = write_doc(tmp_path, pair_doc((JORDAN, near)))
+    # hyperbolic with parabolic cannot commute: an exact (A, C) pair is
+    # caught as non-commuting, a domain error, before any classification
+    inp = write_doc(tmp_path, pair_doc((DIAG2, JORDAN)))
     out = tmp_path / "out.jsonl"
     assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
         == EXIT_DOMAIN
-    assert read_lines(out)[0]["error"] == "DEGENERATE_CC"
+    assert read_lines(out)[0]["error"] == "NOT_COMMUTING"
+
+
+def test_canon_rational_tiny_coupling_both_orders(tmp_path):
+    # coupling 1e-9, below param_tol: exact input has tolerance 0, so the
+    # pair is CC in either order, with c = 1e-9 or its inverse
+    near = [[1, [1, 10**9]], [0, 1]]
+    inp = write_doc(tmp_path, pair_doc((JORDAN, near), (near, JORDAN)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    fwd, back = read_lines(out)
+    assert fwd["sector"] == back["sector"] == "CC"
+    assert fwd["exact"]["c"] == [1, 10**9] and back["exact"]["c"] == [10**9, 1]
+    assert fwd["params"] == {"eps1": 1, "eps2": 1, "alpha": 1e-9}
+    assert fwd["witness"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert back["params"]["alpha"] == pytest.approx(math.pi / 2 - 1e-9,
+                                                    abs=1e-15)
 
 
 def test_canon_determinism(tmp_path):
