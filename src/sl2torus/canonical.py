@@ -396,7 +396,8 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(sector, params)
-    Q1, Q2 = _floats(U1, F1), _floats(U2, F2)
+    Q1 = U1 if F1 is None else _floats(U1, F1)
+    Q2 = U2 if F2 is None else _floats(U2, F2)
     tol = 10.0 * cfg.param_tol * max(
         1.0, abs(Q1.a), abs(Q1.b), abs(Q1.c), abs(Q1.d),
         abs(Q2.a), abs(Q2.b), abs(Q2.c), abs(Q2.d))
