@@ -287,9 +287,9 @@ def _exact_coupling(eps, xy, v1, w, swap):
     if n == 0:
         raise _degenerate(v1, w)
     c = xy[1]
-    if swap:  # y v1, whose determinant with w is y det(v1, w)
-        p0, q0, p1, q1, n, c = yn * p0, yd * q0, yn * p1, yd * q1, yn * n, \
-            Fraction(yd, yn)
+    if swap:  # y v1, whose determinant with w is y det(v1, w), and 1 / y
+        p0, q0, p1, q1, n = yn * p0, yd * q0, yn * p1, yd * q1, yn * n
+        c = Fraction(yd, yn)
     return (eps2, c, c.numerator / c.denominator, (p0 / q0, p1 / q1),
             (r0 / s0, r1 / s1), 1 if n > 0 else -1)
 

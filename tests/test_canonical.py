@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2torus import (
+    CommutingPair,
     DegenerateCC,
     ParamOutOfRange,
     SL2Matrix,
@@ -14,11 +15,14 @@ from sl2torus import (
     ToleranceConfig,
     apply_conjugation,
     canonicalize,
+    classify,
+    conjugate,
     equivalent,
     make_pair,
     make_sl2,
     reconstruct,
     rotation,
+    sl2,
     sl2_from_coords,
 )
 from sl2torus.atlas import (
@@ -29,7 +33,6 @@ from sl2torus.atlas import (
     sample_params,
     sample_sector,
 )
-from sl2torus import sl2
 from sl2torus.canonical import (
     AXIS_COMPONENTS,
     SECTOR_CONTINUOUS,
@@ -39,8 +42,7 @@ from sl2torus.canonical import (
     _witness_error,
     component_index,
 )
-from sl2torus.pairs import CommutingPair
-from sl2torus.sl2 import IDENTITY, classify, conjugate
+from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
