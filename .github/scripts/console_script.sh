@@ -8,7 +8,10 @@
 # - exact.json, a CC and a DB record and the two exact errors: both
 #   commands exit 3 with the errors' Fraction details;
 # - coupling.json, an exact CC pair with coupling 1e-9, below param_tol,
-#   in both orders: canon answers CC for each with exit 0.
+#   in both orders: canon answers CC for each with exit 0;
+# - overflow.json, an exact CC pair whose coupling 1e600 is beyond the
+#   float range: canon exits 3 with an error line and no traceback (an
+#   empty stderr).
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -28,3 +31,8 @@ done
 echo '{"pairs": [{"id": "fwd", "mode": "rational", "U1": [[1, 1], [0, 1]], "U2": [[1, [1, 1000000000]], [0, 1]]}, {"id": "back", "mode": "rational", "U1": [[1, [1, 1000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}]}' > coupling.json
 sl2torus canon coupling.json --out coupling.jsonl || exit 1
 test "$(grep -c '"sector": "CC"' coupling.jsonl)" -eq 2 || exit 1
+e300=1$(printf '%0300d' 0)  # 10^300
+echo '{"pairs": [{"id": "ovf", "mode": "rational", "U1": [[1, [1, '$e300']], [0, 1]], "U2": [[1, '$e300'], [0, 1]]}]}' > overflow.json
+rc=0; sl2torus canon overflow.json --out overflow.jsonl 2> overflow.err || rc=$?
+test $rc -eq 3 && test ! -s overflow.err || exit 1
+grep -F '"detail": "coupling beyond the float range", "error": "INTERNAL_VALIDATION"' overflow.jsonl || exit 1

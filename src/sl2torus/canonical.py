@@ -16,12 +16,12 @@ from .sl2 import (
     SL2Matrix,
     SpectralType,
     ToleranceConfig,
-    _classify,
-    _floats,
-    _integers,
-    _scalar_band,
+    classify,
     conjugate,
+    float_copy,
+    integer_form,
     rotation,
+    scalar_band,
 )
 
 SECTORS = ("AA1", "AA2", "AB", "BA", "BB", "BC", "CB", "BD", "DB", "CC", "DD")
@@ -165,9 +165,8 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 # ---------------------------------------------------------------------------
 # one construction per spectral family of the pivot P (A, C or D); its
-# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2.
-# F is P's integer form (sl2.exact_integers) on an exact pair, where x and
-# y are Fractions, and None otherwise
+# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2,
+# and exact that both matrices are exact, when x and y are Fractions
 # ---------------------------------------------------------------------------
 
 
@@ -187,7 +186,7 @@ def _degenerate(v, w):
     return SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
 
 
-def _canon_A(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_A(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
     lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
     if xy:
         x, y = float(xy[0]), float(xy[1])
@@ -233,17 +232,17 @@ def _unit_basis(v, w, exact):
         raise SL2TorusError("witness beyond the float range") from None
 
 
-def _canon_C(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_C(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
         # sign flips and the two signs are not related by any
         # unit-determinant conjugation
-        S, sgn = _unit_basis(v1, w, F is not None)
+        S, sgn = _unit_basis(v1, w, exact)
         return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
     # O w = y v1 + eps_o w, and c is the coupling U2 w - eps2 w = c v1 in
     # U1's basis, which is (y v1, w) when U1 is O
-    if F is not None:
+    if exact:
         eps2, c, cf, v1, w, sgn = _exact_coupling(t.eps, xy, v1, w, swap)
     else:
         x, y = xy
@@ -290,8 +289,12 @@ def _exact_coupling(eps, xy, v1, w, swap):
     if swap:  # y v1, whose determinant with w is y det(v1, w), and 1 / y
         p0, q0, p1, q1, n = yn * p0, yd * q0, yn * p1, yd * q1, yn * n
         c = Fraction(yd, yn)
-    return (eps2, c, c.numerator / c.denominator, (p0 / q0, p1 / q1),
-            (r0 / s0, r1 / s1), 1 if n > 0 else -1)
+    try:  # with swap, c = 1 / y can exceed the float range
+        cf = c.numerator / c.denominator
+    except OverflowError:
+        raise SL2TorusError("coupling beyond the float range") from None
+    return (eps2, c, cf, (p0 / q0, p1 / q1), (r0 / s0, r1 / s1),
+            1 if n > 0 else -1)
 
 
 def _rotation_angle(si, co) -> float:
@@ -299,12 +302,10 @@ def _rotation_angle(si, co) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def _canon_D(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
+def _canon_D(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
     S, sgn = _unit_basis(*t.basis, False)
-    # the rotation by P's angle; on a mixed pair's exact P, Fraction op
-    # float is float(F) op x, as on the float copy
-    R = conjugate(_floats(P, F), S)
+    R = conjugate(float_copy(P), S)  # the rotation by P's angle
     theta = _rotation_angle(R.c, R.a)
     if not xy:
         return "DB", {"theta": theta}, S, None, sgn
@@ -320,9 +321,9 @@ def _canon_D(P, F, t: SpectralType, xy, swap, cfg: ToleranceConfig):
 # eps2 left out; the BB witness is a new identity, not sl2.IDENTITY, which
 # a caller could change through the answer
 _FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D,
-           "B": lambda P, F, t, *_: ("BB", {"eps1": t.eps},
-                                     SL2Matrix(1.0, 0.0, 0.0, 1.0), None,
-                                     None)}
+           "B": lambda P, t, *_: ("BB", {"eps1": t.eps},
+                                  SL2Matrix(1.0, 0.0, 0.0, 1.0), None,
+                                  None)}
 
 # BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
 # conjugation commutes with the exchange, so one witness serves both
@@ -331,13 +332,13 @@ _MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
                  "lam": "mu", "theta": "phi"}
 
 
-def _traceless(U: SL2Matrix, F):
+def _traceless(U: SL2Matrix, exact):
     """(h, t, n, k, g): U's traceless part ((a - d)/2, b, c) is h / n and
     its trace t / n, h[k] is the first entry of the largest size g = |h[k]|;
-    integers with n > 0 from the integer form F, else floats (Fractions for
-    the exact matrix of a mixed pair), n = 1."""
-    if F is not None:
-        a, b, c, d, m = F
+    integers with n > 0 from U's integer form on an exact pair, else floats
+    (Fractions for the exact matrix of a mixed pair), n = 1."""
+    if exact:
+        a, b, c, d, m = integer_form(U)
         h, t, n = (a - d, 2 * b, 2 * c), 2 * (a + d), 2 * m
     else:
         h, t, n = ((U.a - U.d) / 2, U.b, U.c), U.a + U.d, 1
@@ -356,23 +357,22 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     exact pair these are decided and computed in integers, and x and y are
     Fractions."""
     U1, U2 = p.U1, p.U2
-    F1, F2 = _integers(U1), _integers(U2)  # each matrix's form, built once
-    exact = F1 is not None and F2 is not None
-    h1, t1, n1, k1, g1 = _traceless(U1, F1 if exact else None)
-    h2, t2, n2, k2, g2 = _traceless(U2, F2 if exact else None)
+    exact = integer_form(U1) is not None and integer_form(U2) is not None
+    h1, t1, n1, k1, g1 = _traceless(U1, exact)
+    h2, t2, n2, k2, g2 = _traceless(U2, exact)
     swap = g2 * n1 > g1 * n2
     if swap:
-        P, O, FP, FO, k = U2, U1, F2, F1, k2
+        P, O, k = U2, U1, k2
         hP, hO, tP, tO, nP, nO = h2, h1, t2, t1, n2, n1
     else:
-        P, O, FP, FO, k = U1, U2, F1, F2, k1
+        P, O, k = U1, U2, k1
         hP, hO, tP, tO, nP, nO = h1, h2, t1, t2, n1, n2
-    eps_o, o_scalar = _scalar_band(O, FO, cfg)
-    t = _classify(P, FP, cfg)
+    eps_o, o_scalar = scalar_band(O, cfg)
+    t = classify(P, cfg)
     if t.tag == "B" and not o_scalar:
         # only with det_tol well above class_tol: O becomes the pivot
-        P, FP, t, eps_o, o_scalar, swap = (
-            O, FO, _classify(O, FO, cfg), t.eps, True, not swap)
+        P, t, eps_o, o_scalar, swap = (
+            O, classify(O, cfg), t.eps, True, not swap)
     xy = None
     if not o_scalar:
         if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
@@ -384,8 +384,7 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         else:
             y = hO[k] / hP[k]
             xy = ((tO - y * tP) / 2, y)
-    sector, params, S, c, sgn = _FAMILY[t.tag](
-        P, FP if exact else None, t, xy, swap, cfg)
+    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, exact, cfg)
     if o_scalar:
         params["eps2"] = eps_o
         if swap:
@@ -396,13 +395,12 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     # witness validity check: conjugating the input by the witness must
     # reproduce the reconstructed canonical matrices
     target = reconstruct(sector, params)
-    Q1 = U1 if F1 is None else _floats(U1, F1)
-    Q2 = U2 if F2 is None else _floats(U2, F2)
+    Q1, Q2 = float_copy(U1), float_copy(U2)
     tol = 10.0 * cfg.param_tol * max(
         1.0, abs(Q1.a), abs(Q1.b), abs(Q1.c), abs(Q1.d),
         abs(Q2.a), abs(Q2.b), abs(Q2.c), abs(Q2.d))
     err = _witness_error(Q1, Q2, S, target)
-    if err > tol and (F1 is not None or F2 is not None):
+    if err > tol and (Q1 is not U1 or Q2 is not U2):
         # a float product rounds an exact entry far below the float range
         # to zero, so exact input that fails is checked again exactly
         W = SL2Matrix(*(Fraction(x) for x in (S.a, S.b, S.c, S.d)))

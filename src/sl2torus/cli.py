@@ -41,8 +41,7 @@ from .errors import (
 from .pairs import make_pair, spectral_types
 from .sl2 import (
     ToleranceConfig,
-    exact_integers,
-    is_exact,
+    integer_form,
     make_sl2,
     trace_class,
 )
@@ -263,7 +262,7 @@ def _canon_record(rec, where, mode, cfg):
             "branch_notes": list(result.trace.branch_notes),
         },
     }
-    if is_exact(p.U1):
+    if integer_form(p.U1) is not None:
         # exact defining data of the irrational canonical angles
         exact = {}
         if result.sector == "CC":
@@ -271,7 +270,7 @@ def _canon_record(rec, where, mode, cfg):
             exact["det_sprime_sign"] = result.trace.det_sprime_sign
         for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
             if trace_class(U, cfg) == "elliptic":  # cos = tr / 2 = n / 2m
-                A, _, _, D, m = exact_integers(U)
+                A, _, _, D, m = integer_form(U)
                 n = A + D
                 g = math.gcd(n, 2 * m)
                 exact[key] = [n // g, 2 * m // g]

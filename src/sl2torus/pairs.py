@@ -12,8 +12,7 @@ from .sl2 import (
     ToleranceConfig,
     classify,
     commutator_norm,
-    exact_integers,
-    is_exact,
+    integer_form,
 )
 
 # Coarse combinations that can occur for commuting pairs: matching non-B
@@ -37,9 +36,10 @@ def make_pair(
     """Validating constructor; two exact matrices must commute exactly: the
     commutator entries +-(b1 c2 - b2 c1), b2 h1 - b1 h2 and c1 h2 - c2 h1,
     h = a - d, are 0 on U1 and U2 scaled to integers."""
-    if is_exact(U1) and is_exact(U2):
-        a1, b1, c1, d1, _ = exact_integers(U1)
-        a2, b2, c2, d2, _ = exact_integers(U2)
+    F1, F2 = integer_form(U1), integer_form(U2)
+    if F1 is not None and F2 is not None:
+        a1, b1, c1, d1, _ = F1
+        a2, b2, c2, d2, _ = F2
         h1, h2 = a1 - d1, a2 - d2
         if b1 * c2 == b2 * c1 and b2 * h1 == b1 * h2 and c1 * h2 == c2 * h1:
             return CommutingPair(U1, U2)

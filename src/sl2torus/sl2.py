@@ -43,7 +43,7 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-@dataclass(slots=True)
+@dataclass
 class SL2Matrix:
     """Row-major 2x2 real matrix; construction via make_sl2 enforces det = 1.
     The entries are floats, or all Fractions for an exact matrix.
@@ -51,7 +51,11 @@ class SL2Matrix:
     Like the pair, spectral-type and canonical-form objects, it is a
     slotted dataclass: it compares by value and cannot be hashed.  The
     package never changes one after building it, and callers should treat
-    it as read-only.  ``ToleranceConfig`` stays frozen."""
+    it as read-only: ``integer_form`` keeps the matrix's integer form in
+    the slot ``_form``, which is no field, so equality, ``repr`` and
+    ``astuple`` see only the entries.  ``ToleranceConfig`` stays frozen."""
+
+    __slots__ = ("a", "b", "c", "d", "_form")
 
     a: float
     b: float
@@ -160,15 +164,23 @@ def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     # written so that a NaN determinant fails too
     if not abs(det - 1) <= cfg.det_tol:
         raise DeterminantError(det)
-    return SL2Matrix(float(a), float(b), float(c), float(d))
+    U = SL2Matrix(float(a), float(b), float(c), float(d))
+    U._form = None  # known float, so integer_form need not test the entries
+    return U
 
 
 def float_copy(U: SL2Matrix) -> SL2Matrix:
-    """U with float entries if exact.  Fraction op float is float(F) op x,
-    so an expression that takes each entry into a float operation first
-    gives the same bits on the copy; not so -F / x (0.0 for F = 0, -0.0 on
-    the copy) or F1 * F2 + x (rounded once, on the copy twice)."""
-    return _floats(U, _integers(U))
+    """U with float entries if exact, else U itself.  Fraction op float is
+    float(F) op x, so an expression that takes each entry into a float
+    operation first gives the same bits on the copy; not so -F / x (0.0 for
+    F = 0, -0.0 on the copy) or F1 * F2 + x (rounded once, on the copy
+    twice).  A / m is float(a), both correctly rounded quotients of one
+    rational."""
+    F = integer_form(U)
+    if F is None:
+        return U
+    A, B, C, D, m = F
+    return SL2Matrix(A / m, B / m, C / m, D / m)
 
 
 def exact_integers(U: SL2Matrix):
@@ -184,20 +196,15 @@ def exact_integers(U: SL2Matrix):
             c.numerator * dab * dd, d.numerator * dab * dc, dab * dcd)
 
 
-def _integers(U: SL2Matrix):
-    """U's form: exact_integers(U) on an exact U, else None.  Each public
-    entry point builds it once per matrix, and the helpers below read the
-    form they are given instead of testing U's entries again."""
-    return exact_integers(U) if is_exact(U) else None
-
-
-def _floats(U: SL2Matrix, F) -> SL2Matrix:
-    """float_copy(U) for U of form F; A / m is float(a), both correctly
-    rounded quotients of one rational."""
-    if F is None:
-        return U
-    A, B, C, D, m = F
-    return SL2Matrix(A / m, B / m, C / m, D / m)
+def integer_form(U: SL2Matrix):
+    """U's integer form: exact_integers(U) on an exact U, else None.  It is
+    built on first use and kept on the matrix, so every decision on U
+    reads it instead of testing U's entries again."""
+    try:
+        return U._form
+    except AttributeError:
+        F = U._form = exact_integers(U) if is_exact(U) else None
+        return F
 
 
 def binary_exponent(x: Fraction) -> int:
@@ -231,12 +238,13 @@ def _real_eigendirection(a, b, c, d, minus_c, lam):
     return (x, y)
 
 
-def _parabolic_basis(U: SL2Matrix, eps, F):
+def _parabolic_basis(U: SL2Matrix, eps):
     """Columns v1, w with U v1 = eps v1 and U w = v1 + eps w, for a
     non-scalar parabolic U.  v1 is the larger column of the nilpotent part
     N = U - eps*I, which spans the kernel of N, and w the standard basis
     vector with N w = v1, which yields the identity witness on canonical
-    input.  F is U's form."""
+    input."""
+    F = integer_form(U)
     if F is None:
         c1, c2 = (U.a - eps, U.c), (U.b, U.d - eps)
         if math.hypot(*c2) >= math.hypot(*c1):
@@ -277,10 +285,7 @@ def trace_class(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> str:
     with off = |tr U| - 2, parabolic when |off| <= class_tol (0 on an exact
     matrix), else hyperbolic when off > 0 and elliptic when off < 0.  For
     |tr| in [1, 4], off is exact in floats (Sterbenz), and so is its sign."""
-    return _trace_class(U, _integers(U), cfg)
-
-
-def _trace_class(U: SL2Matrix, F, cfg: ToleranceConfig) -> str:
+    F = integer_form(U)
     if F is not None:  # off times the denominator m > 0 of the form F
         A, _, _, D, m = F
         off, tol = abs(A + D) - 2 * m, 0
@@ -291,10 +296,11 @@ def _trace_class(U: SL2Matrix, F, cfg: ToleranceConfig) -> str:
     return "hyperbolic" if off > 0 else "elliptic"
 
 
-def _scalar_test(U: SL2Matrix, F, cfg: ToleranceConfig):
-    """(eps, scalar) for U of form F in the parabolic band: eps the sign of
-    tr U, and whether U is eps*I within class_tol; ClassificationAmbiguous
-    between class_tol and AMBIG_FACTOR * class_tol."""
+def _scalar_test(U: SL2Matrix, cfg: ToleranceConfig):
+    """(eps, scalar) for U in the parabolic band: eps the sign of tr U, and
+    whether U is eps*I within class_tol; ClassificationAmbiguous between
+    class_tol and AMBIG_FACTOR * class_tol."""
+    F = integer_form(U)
     if F is not None:  # tolerance 0, so no band
         A, B, C, D, m = F
         eps = 1 if A + D > 0 else -1
@@ -313,13 +319,9 @@ def scalar_band(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL):
     """classify's B test: (eps, scalar), eps the sign of tr U when
     trace_class says parabolic, else None, and whether U is then eps*I
     within tolerance."""
-    return _scalar_band(U, _integers(U), cfg)
-
-
-def _scalar_band(U: SL2Matrix, F, cfg: ToleranceConfig):
-    if _trace_class(U, F, cfg) != "parabolic":
+    if trace_class(U, cfg) != "parabolic":
         return None, False
-    return _scalar_test(U, F, cfg)
+    return _scalar_test(U, cfg)
 
 
 def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
@@ -330,21 +332,17 @@ def classify(U: SL2Matrix, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralType:
     ``exact_integers``), and every float is an integer quotient, rounded
     once, so the results are those of Fraction arithmetic, in which
     Fraction op float is float(F) op x."""
-    return _classify(U, _integers(U), cfg)
-
-
-def _classify(U: SL2Matrix, F, cfg: ToleranceConfig) -> SpectralType:
-    """classify for U of form F."""
-    band = _trace_class(U, F, cfg)
+    band = trace_class(U, cfg)
     if band == "parabolic":
-        eps, scalar = _scalar_test(U, F, cfg)
+        eps, scalar = _scalar_test(U, cfg)
         if scalar:
             return SpectralType("B", eps=eps)
-        return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps, F))
+        return SpectralType("C", eps=eps, basis=_parabolic_basis(U, eps))
     # U is [[A, B], [C, D]] / m: integers on an exact U, else the float
     # entries over 1, where each expression below is the float one; the
     # entries become floats only after the boundary checks, so that one
     # beyond the float range raises where it did in Fraction arithmetic
+    F = integer_form(U)
     exact = F is not None
     if exact:
         A, B, C, D, m = F

@@ -604,29 +604,25 @@ def test_exact_and_float_input_agree(sector, data):
         assert isinstance(exact.trace.c, Fraction)
 
 
-def _exact_conjugated_pair(sector, data):
-    m1, m2 = _rational_canonical(sector, data.draw)
-    p = data.draw(st.fractions(-2, 2, max_denominator=3))
-    S = SL2Matrix(Fraction(1), p, Fraction(0), Fraction(1))
-    return make_pair(conjugate(SL2Matrix(*m1), S), conjugate(SL2Matrix(*m2), S))
-
-
 @given(sector_st, st.data())
 @settings(max_examples=100, deadline=None)
 def test_exact_input_builds_each_integer_form_once(sector, data):
-    # exactness is decided once per matrix and its integer form passed down
-    # to the band, scalar, basis and coupling decisions
-    p = _exact_conjugated_pair(sector, data)
+    # the integer form is built on first use and kept on the matrix, so the
+    # commutator test, the pivot choice, the band, scalar, basis and
+    # coupling decisions and any later classify all read the one form
+    m1, m2 = _rational_canonical(sector, data.draw)
+    q = data.draw(st.fractions(-2, 2, max_denominator=3))
+    S = SL2Matrix(Fraction(1), q, Fraction(0), Fraction(1))
+    U1, U2 = conjugate(SL2Matrix(*m1), S), conjugate(SL2Matrix(*m2), S)
     calls = []
     real = sl2.exact_integers
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sl2, "exact_integers", lambda U: calls.append(U) or real(U))
+        p = make_pair(U1, U2)
         assert canonicalize(p).sector == sector
-        assert calls == [p.U1, p.U2]
-        calls.clear()
-        for U in (p.U1, p.U2):
+        for U in (U1, U2):
             classify(U)
-        assert calls == [p.U1, p.U2]
+    assert len(calls) == 2 and calls[0] is U1 and calls[1] is U2
 
 
 def test_float_canonicalize_tests_exactness_once_per_matrix(monkeypatch):

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -317,15 +318,20 @@ def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
-@pytest.mark.parametrize("command", ["canon", "equiv"])
-def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
-                                                    command):
+@pytest.mark.parametrize("command,U1,U2,detail", [
     # the det 1 basis of this Jordan block has a column near 2^1163
-    huge = [[1, [1, 10**700]], [0, 1]]
+    ("canon", [[1, [1, 10**700]], [0, 1]], IDENT, "witness"),
+    ("equiv", [[1, [1, 10**700]], [0, 1]], IDENT, "witness"),
+    # the coupling 1 / y of the pivot U2 is 10^600
+    ("canon", [[1, [1, 10**300]], [0, 1]], [[1, 10**300], [0, 1]],
+     "coupling"),
+], ids=["canon", "equiv", "canon-coupling"])
+def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
+                                                    command, U1, U2, detail):
     if command == "canon":
-        doc = pair_doc((huge, IDENT), (JORDAN, IDENT))
+        doc = pair_doc((U1, U2), (JORDAN, IDENT))
     else:
-        doc = equiv_doc((huge, IDENT, JORDAN, IDENT),
+        doc = equiv_doc((U1, U2, JORDAN, IDENT),
                         (JORDAN, IDENT, JORDAN, IDENT))
     inp = write_doc(tmp_path, doc)
     out = tmp_path / "out.jsonl"
@@ -333,7 +339,7 @@ def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
         == EXIT_DOMAIN
     bad, good = read_lines(out)
     assert (bad["error"], bad["detail"]) == \
-        ("INTERNAL_VALIDATION", "witness beyond the float range")
+        ("INTERNAL_VALIDATION", f"{detail} beyond the float range")
     assert "error" not in good
     assert capsys.readouterr().err == ""
 
@@ -537,6 +543,41 @@ def test_canon_rational_exact_cosines(tmp_path):
         ("DD", {"cos_theta": cos(R), "cos_phi": cos(S)})
     assert math.cos(dd["params"]["theta"]) == pytest.approx(0.6)
     assert math.cos(dd["params"]["phi"]) == pytest.approx(0.8)
+
+
+def test_rational_records_build_each_integer_form_once(tmp_path,
+                                                        monkeypatch):
+    # the form is kept on the matrix, so the commutator test, the
+    # classification, the construction and the exact cosines share it
+    R, S = rational_rotation(2, 1), rational_rotation(3, -1)
+    pairs = ((R, IDENT), (NEG_IDENT, S), (R, S), (JORDAN, [[1, 2], [0, 1]]),
+             (DIAG2, IDENT), (DIAG2, [[2, 0], [0, [1, 2]]]))
+    inp = write_doc(tmp_path, pair_doc(*pairs))
+    out = tmp_path / "out.jsonl"
+    calls = []
+    real = sl2torus.sl2.exact_integers
+
+    def counted(U):
+        calls.append(U)
+        return real(U)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "sl2torus"
+                and hasattr(module, "exact_integers")):
+            monkeypatch.setattr(module, "exact_integers", counted)
+    for command in ("classify", "canon"):
+        calls.clear()
+        assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
+            == EXIT_OK
+        assert len(read_lines(out)) == len(pairs)
+        assert len(calls) == 2 * len(pairs)
+        assert len({id(U) for U in calls}) == len(calls)
+    # the kept form is no field: equality, repr and astuple see four entries
+    U = calls[0]
+    V = SL2Matrix(U.a, U.b, U.c, U.d)
+    assert [f.name for f in fields(SL2Matrix)] == ["a", "b", "c", "d"]
+    assert astuple(U) == astuple(V) == (U.a, U.b, U.c, U.d)
+    assert U == V and repr(U) == repr(V)
 
 
 def test_canon_rational_tiny_cc(tmp_path):
