@@ -8,10 +8,11 @@
 # - exact.json, a CC and a DB record and the two exact errors: both
 #   commands exit 3 with the errors' Fraction details;
 # - coupling.json, an exact CC pair with coupling 1e-9, below param_tol,
-#   in both orders: canon answers CC for each with exit 0;
+#   in both orders, and one with coupling -3e-12 beside the pivot U2:
+#   canon answers CC for each with exit 0;
 # - overflow.json, an exact CC pair whose coupling 1e600 is beyond the
-#   float range: canon exits 3 with an error line and no traceback (an
-#   empty stderr).
+#   float range, so that alpha = pi/2 - 1e-600 rounds to pi/2: canon exits
+#   3 with a PARAM_OUT_OF_RANGE line and no traceback (an empty stderr).
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -28,11 +29,11 @@ for c in canon classify; do
   grep -F '"detail": "commutator norm Fraction(1, 1) exceeds tolerance", "error": "NOT_COMMUTING"' $c.jsonl || exit 1
   grep -F '"detail": "matrix determinant is Fraction(2, 1), expected 1", "error": "DETERMINANT"' $c.jsonl || exit 1
 done
-echo '{"pairs": [{"id": "fwd", "mode": "rational", "U1": [[1, 1], [0, 1]], "U2": [[1, [1, 1000000000]], [0, 1]]}, {"id": "back", "mode": "rational", "U1": [[1, [1, 1000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}]}' > coupling.json
+echo '{"pairs": [{"id": "fwd", "mode": "rational", "U1": [[1, 1], [0, 1]], "U2": [[1, [1, 1000000000]], [0, 1]]}, {"id": "back", "mode": "rational", "U1": [[1, [1, 1000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}, {"id": "neg", "mode": "rational", "U1": [[1, [-3, 1000000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}]}' > coupling.json
 sl2torus canon coupling.json --out coupling.jsonl || exit 1
-test "$(grep -c '"sector": "CC"' coupling.jsonl)" -eq 2 || exit 1
+test "$(grep -c '"sector": "CC"' coupling.jsonl)" -eq 3 || exit 1
 e300=1$(printf '%0300d' 0)  # 10^300
 echo '{"pairs": [{"id": "ovf", "mode": "rational", "U1": [[1, [1, '$e300']], [0, 1]], "U2": [[1, '$e300'], [0, 1]]}]}' > overflow.json
 rc=0; sl2torus canon overflow.json --out overflow.jsonl 2> overflow.err || rc=$?
 test $rc -eq 3 && test ! -s overflow.err || exit 1
-grep -F '"detail": "coupling beyond the float range", "error": "INTERNAL_VALIDATION"' overflow.jsonl || exit 1
+grep -F '"error": "PARAM_OUT_OF_RANGE"' overflow.jsonl || exit 1

@@ -164,9 +164,9 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 
 # ---------------------------------------------------------------------------
-# one construction per spectral family of the pivot P (A, C or D); its
-# partner O is scalar (xy is None) or O = xI + yP; swap says that P is U2,
-# and exact that both matrices are exact, when x and y are Fractions
+# one construction per spectral family of the pivot P (A, C or D), as if P
+# were U1; its partner O is scalar (xy is None) or O = xI + yP; exact says
+# that both matrices are exact, when x and y are Fractions
 # ---------------------------------------------------------------------------
 
 
@@ -186,22 +186,20 @@ def _degenerate(v, w):
     return SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
 
 
-def _canon_A(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
+def _canon_A(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
     lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
-    if xy:
-        x, y = float(xy[0]), float(xy[1])
-        # AA1 if O also contracts v, else AA2, whose mu is O's eigenvalue on w
-        aa1 = abs(x + y * lam) < 1.0
-        mu = x + y * lam if aa1 else x + y / lam
-        if swap:  # O is U1, and its contracting direction comes first
-            lam, mu, v, w = (mu, lam, v, w) if aa1 else (mu, lam, w, v)
     # w rescaled so that the column matrix has det 1
     d = _det2(v, w)
     S = _columns(v, (w[0] / d, w[1] / d))
     sgn = 1 if d > 0 else -1
     if not xy:
         return "AB", {"lam": lam}, S, None, sgn
-    return "AA1" if aa1 else "AA2", {"lam": lam, "mu": mu}, S, None, sgn
+    x, y = float(xy[0]), float(xy[1])
+    # AA1 if O also contracts v, else AA2, whose mu is O's eigenvalue on w
+    mu = x + y * lam
+    if abs(mu) < 1.0:
+        return "AA1", {"lam": lam, "mu": mu}, S, None, sgn
+    return "AA2", {"lam": lam, "mu": x + y / lam}, S, None, sgn
 
 
 def _unit_basis(v, w, exact):
@@ -232,7 +230,7 @@ def _unit_basis(v, w, exact):
         raise SL2TorusError("witness beyond the float range") from None
 
 
-def _canon_C(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
+def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
@@ -240,41 +238,35 @@ def _canon_C(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
         # unit-determinant conjugation
         S, sgn = _unit_basis(v1, w, exact)
         return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
-    # O w = y v1 + eps_o w, and c is the coupling U2 w - eps2 w = c v1 in
-    # U1's basis, which is (y v1, w) when U1 is O
+    # O w = y v1 + eps2 w, so the coupling U2 w - eps2 w = c v1 is c = y
+    c = xy[1]
     if exact:
-        eps2, c, cf, v1, w, sgn = _exact_coupling(t.eps, xy, v1, w, swap)
+        eps2, cf, v1, w, sgn = _exact_coupling(t.eps, xy, v1, w)
     else:
-        x, y = xy
-        if abs(y) <= (0 if swap else cfg.param_tol):
-            raise DegenerateCC(f"coupling scalar {y!r} vanishes within "
+        if abs(c) <= cfg.param_tol:
+            raise DegenerateCC(f"coupling scalar {c!r} vanishes within "
                                "tolerance")
-        eps2, c = (1 if x + y * t.eps > 0 else -1), y
-        if swap:
-            v1, c = (y * v1[0], y * v1[1]), 1 / y
+        eps2 = 1 if xy[0] + c * t.eps > 0 else -1
         sgn = 1 if _det2(v1, w) > 0 else -1
         # the exact P of a mixed pair has a Fraction basis; float(F) op x
         # is F op x, without the mixed operation
         cf, v1, w = c, (float(v1[0]), float(v1[1])), (float(w[0]), float(w[1]))
-    eps1 = t.eps
-    if swap:
-        eps1, eps2 = eps2, eps1
     base = math.atan(cf)  # in (-pi/2, pi/2), cos > 0
-    if sgn > 0:
-        alpha = base if base > 0 else base + _TWO_PI
+    if sgn > 0:  # the sign of c, as cf can round to 0
+        alpha = base if c > 0 else base + _TWO_PI
     else:
         alpha = base + math.pi
     cos_a = math.cos(alpha)
     # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
     S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w, False)
-    return "CC", {"eps1": eps1, "eps2": eps2, "alpha": alpha}, S, c, sgn
+    return "CC", {"eps1": t.eps, "eps2": eps2, "alpha": alpha}, S, c, sgn
 
 
-def _exact_coupling(eps, xy, v1, w, swap):
-    """_canon_C's decisions on an exact pair, in integers: (eps2, c, the
-    float of c, v1 and w as floats, sign of det(v1, w)), with y v1 for v1
-    and 1 / y for c when swap.  x, y and the columns are Fractions, and the
-    tolerance is 0, so only y = 0 is degenerate."""
+def _exact_coupling(eps, xy, v1, w):
+    """_canon_C's decisions on an exact pair, in integers: (eps2, the float
+    of the coupling y, v1 and w as floats, sign of det(v1, w)).  x, y and
+    the columns are Fractions, and the tolerance is 0, so only y = 0 is
+    degenerate; |y| <= 1, as P is the pivot."""
     (xn, xd), (yn, yd) = ((z.numerator, z.denominator) for z in xy)
     if yn == 0:
         raise DegenerateCC(f"coupling scalar {xy[1]!r} vanishes within "
@@ -285,15 +277,7 @@ def _exact_coupling(eps, xy, v1, w, swap):
     n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det(v1, w) times q0 q1 s0 s1
     if n == 0:
         raise _degenerate(v1, w)
-    c = xy[1]
-    if swap:  # y v1, whose determinant with w is y det(v1, w), and 1 / y
-        p0, q0, p1, q1, n = yn * p0, yd * q0, yn * p1, yd * q1, yn * n
-        c = Fraction(yd, yn)
-    try:  # with swap, c = 1 / y can exceed the float range
-        cf = c.numerator / c.denominator
-    except OverflowError:
-        raise SL2TorusError("coupling beyond the float range") from None
-    return (eps2, c, cf, (p0 / q0, p1 / q1), (r0 / s0, r1 / s1),
+    return (eps2, yn / yd, (p0 / q0, p1 / q1), (r0 / s0, r1 / s1),
             1 if n > 0 else -1)
 
 
@@ -302,7 +286,7 @@ def _rotation_angle(si, co) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def _canon_D(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
+def _canon_D(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
     S, sgn = _unit_basis(*t.basis, False)
     R = conjugate(float_copy(P), S)  # the rotation by P's angle
@@ -311,25 +295,42 @@ def _canon_D(P, t: SpectralType, xy, swap, exact, cfg: ToleranceConfig):
         return "DB", {"theta": theta}, S, None, sgn
     x, y = float(xy[0]), float(xy[1])
     phi = _rotation_angle(y * R.c, x + y * R.a)  # arg(x + y exp(i theta))
-    if swap:  # U1's own basis has its first vector negated when y < 0
-        theta, phi, sgn = phi, theta, -sgn if xy[1] < 0 else sgn
     return "DD", {"theta": theta, "phi": phi}, S, None, sgn
 
 
 # keyed by the tag of the pivot; each returns (sector, params, witness, c,
-# sign of det S' before repair), with a scalar O as if P were U1 and O's
-# eps2 left out; the BB witness is a new identity, not sl2.IDENTITY, which
-# a caller could change through the answer
+# sign of det S' before repair) as if P were U1, with a scalar O's eps2
+# left out; the BB witness is a new identity, not sl2.IDENTITY, which a
+# caller could change through the answer
 _FAMILY = {"A": _canon_A, "C": _canon_C, "D": _canon_D,
            "B": lambda P, t, *_: ("BB", {"eps1": t.eps},
                                   SL2Matrix(1.0, 0.0, 0.0, 1.0), None,
                                   None)}
 
-# BA, BC and BD are AB, CB and DB with U1 and U2 exchanged; simultaneous
-# conjugation commutes with the exchange, so one witness serves both
-_MIRROR = {"AB": "BA", "BB": "BB", "CB": "BC", "DB": "BD"}
-_MIRROR_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
-                 "lam": "mu", "theta": "phi"}
+# the exchange of U1 and U2, [[0, 1], [1, 0]] in GL(2, Z), renames sectors
+# and parameters; it commutes with simultaneous conjugation, so the
+# witness is kept except in AA2
+_EXCHANGE = {"AB": "BA", "BA": "AB", "CB": "BC", "BC": "CB", "DB": "BD",
+             "BD": "DB"}
+_EXCHANGE_PARAM = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4",
+                   "eps4": "eps3", "lam": "mu", "mu": "lam",
+                   "theta": "phi", "phi": "theta", "alpha": "alpha"}
+
+
+def _exchange(sector, params, S, c, sgn):
+    """(sector, params, witness, c, sign) with U1 and U2 exchanged.  CC and
+    DD negate the sign when U2 = xI + yU1 with y < 0; y has the sign of c,
+    and of sin(phi) / sin(theta)."""
+    params = {_EXCHANGE_PARAM[k]: v for k, v in params.items()}
+    if sector == "AA2":  # S [[0, 1], [-1, 0]] swaps the diagonal
+        S, sgn = SL2Matrix(-S.b, S.a, -S.d, S.c), -sgn
+    elif sector == "CC":  # cos and sin exchanged
+        params["alpha"] = (math.pi / 2 - params["alpha"]) % _TWO_PI
+        c, sgn = 1 / c, -sgn if c < 0 else sgn
+    elif sector == "DD" and (params["theta"] < math.pi) != (
+            params["phi"] < math.pi):
+        sgn = -sgn
+    return _EXCHANGE.get(sector, sector), params, S, c, sgn
 
 
 def _traceless(U: SL2Matrix, exact):
@@ -384,12 +385,11 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         else:
             y = hO[k] / hP[k]
             xy = ((tO - y * tP) / 2, y)
-    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, swap, exact, cfg)
+    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, exact, cfg)
     if o_scalar:
         params["eps2"] = eps_o
-        if swap:
-            sector = _MIRROR[sector]
-            params = {_MIRROR_PARAM[k]: v for k, v in params.items()}
+    if swap:  # P is U2
+        sector, params, S, c, sgn = _exchange(sector, params, S, c, sgn)
     notes = ("BB trivial",) if sector == "BB" else (sector,)
     result = CanonicalPair(sector, params, S, CanonTrace(c, sgn, notes))
     # witness validity check: conjugating the input by the witness must

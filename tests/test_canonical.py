@@ -36,6 +36,7 @@ from sl2torus.atlas import (
 from sl2torus.canonical import (
     AXIS_COMPONENTS,
     SECTOR_CONTINUOUS,
+    SECTOR_DISCRETE,
     SECTORS,
     CanonicalPair,
     _unit_basis,
@@ -43,6 +44,8 @@ from sl2torus.canonical import (
     component_index,
 )
 from sl2torus.sl2 import IDENTITY
+from test_exact_golden import _canonical as _golden_canonical
+from test_exact_golden import _conjugator as _golden_conjugator
 
 CFG = ToleranceConfig()
 I = make_sl2(1, 0, 0, 1)
@@ -382,28 +385,74 @@ def test_equivalence_relation(seed):
     assert equivalent(a, c, CFG) and equivalent(b, c, CFG)
 
 
-# each sector with a scalar U2, its mirror with U1 and U2 exchanged, and
-# where each parameter of the sector goes in the mirror
-MIRRORS = {
-    "AB": ("BA", {"lam": "mu", "eps2": "eps1"}),
-    "CB": ("BC", {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4"}),
-    "DB": ("BD", {"theta": "phi", "eps2": "eps1"}),
-}
+# the exchange of U1 and U2: the sector of the swapped pair, where each
+# parameter goes, and the quarter turn that swaps the diagonal of AA2
+EXCHANGE = {"AB": "BA", "BA": "AB", "CB": "BC", "BC": "CB", "DB": "BD",
+            "BD": "DB"}
+RENAME = {"eps1": "eps2", "eps2": "eps1", "eps3": "eps4", "eps4": "eps3",
+          "lam": "mu", "mu": "lam", "theta": "phi", "phi": "theta",
+          "alpha": "alpha"}
+QUARTER = SL2Matrix(0.0, 1.0, -1.0, 0.0)
 
 
-@given(st.sampled_from(sorted(MIRRORS)), seed_st)
-@settings(max_examples=40, deadline=None)
-def test_mirror_sectors_are_the_swapped_pair(sector, seed):
-    mirror, rename = MIRRORS[sector]
-    p = sample_sector(sector, seed, conjugate=True)
+def _traceless_size(U):
+    """The largest entry of U's traceless part ((a - d)/2, b, c), the size
+    by which canonicalize picks its pivot."""
+    return max(abs((U.a - U.d) / 2), abs(U.b), abs(U.c))
+
+
+@given(sector_st, seed_st, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mirror_sectors_are_the_swapped_pair(sector, seed, exact):
+    if exact:  # a conjugated pair as the exact golden document builds it
+        rng = random.Random(seed)
+        U1, U2 = _golden_canonical(sector, rng)
+        S = _golden_conjugator(rng)
+        p = CommutingPair(conjugate(U1, S), conjugate(U2, S))
+    else:
+        p = sample_sector(sector, seed, conjugate=True)
     c = canonicalize(make_pair(p.U1, p.U2, CFG), CFG)
     m = canonicalize(make_pair(p.U2, p.U1, CFG), CFG)
-    assert (c.sector, m.sector) == (sector, mirror)
-    assert m.params == {rename[k]: v for k, v in c.params.items()}
-    assert m.witness == c.witness
-    assert m.trace.branch_notes == (mirror,)
-    assert m.trace.c == c.trace.c
-    assert m.trace.det_sprime_sign == c.trace.det_sprime_sign
+    assert (c.sector, m.sector) == (sector, EXCHANGE.get(sector, sector))
+    # both forms are built from the one pivot, unless the traceless parts
+    # tie in size, when each order takes its own U1
+    tie = _traceless_size(p.U1) == _traceless_size(p.U2)
+    renamed = {RENAME[k]: v for k, v in c.params.items()}
+    sign = c.trace.det_sprime_sign
+    if sector == "CC":  # cos and sin exchanged, and tan(alpha) = c inverted
+        renamed["alpha"] = (math.pi / 2 - c.params["alpha"]) % (2 * math.pi)
+        assert m.trace.c == pytest.approx(1 / c.trace.c, rel=1e-15)
+        assert isinstance(m.trace.c, Fraction) == exact
+        if exact:
+            assert m.trace.c == 1 / c.trace.c
+        # U2 = xI + yU1 with y = c
+        sign = -sign if c.trace.c < 0 else sign
+    else:
+        assert m.trace.c is c.trace.c is None
+    if sector == "DD" and (c.params["theta"] < math.pi) != (
+            c.params["phi"] < math.pi):  # y = sin(phi) / sin(theta) < 0
+        sign = -sign
+    if sector == "AA2":  # the quarter turn swaps the diagonal
+        sign = -sign
+    assert m.discrete() == tuple(renamed[k] for k in
+                                 SECTOR_DISCRETE[m.sector])
+    assert m.continuous() == pytest.approx(
+        tuple(renamed[k] for k in SECTOR_CONTINUOUS[m.sector]), abs=1e-12)
+    assert m.trace.branch_notes == (
+        ("BB trivial",) if sector == "BB" else (m.sector,))
+    if tie and sector != "BB":
+        return
+    # the one pivot: the exchange renames its parameters bit for bit, sets
+    # the sign by the rules above, and keeps the witness except in AA2,
+    # where either form may be the one built and the other the one moved
+    assert m.trace.det_sprime_sign == sign
+    renamed.pop("alpha", None)
+    assert {k: v for k, v in m.params.items() if k != "alpha"} == renamed
+    if sector == "AA2":
+        assert m.witness == c.witness @ QUARTER or \
+            c.witness == m.witness @ QUARTER
+    else:
+        assert m.witness == c.witness
 
 
 # --- equivalence: positive and negative -----------------------------------
@@ -434,11 +483,16 @@ def test_aa1_aa2_distinct():
     assert not equivalent(make_pair(p.U1, p.U2), make_pair(q.U1, q.U2), CFG)
 
 
-def test_degenerate_cc_raises():
+@pytest.mark.parametrize("coupling", [1e-8, -1e-8])
+@pytest.mark.parametrize("order", ["U1-pivot", "U2-pivot"])
+def test_degenerate_cc_raises(order, coupling):
     # a coupling scalar at or below param_tol cannot be normalized reliably;
-    # 1e-8 still classifies as parabolic but is a degenerate coupling
+    # 1e-8 still classifies as parabolic but is a degenerate coupling, with
+    # the pivot either matrix
     U1 = make_sl2(1, 1, 0, 1)
-    U2 = make_sl2(1, 1e-8, 0, 1)
+    U2 = make_sl2(1, coupling, 0, 1)
+    if order == "U2-pivot":
+        U1, U2 = U2, U1
     with pytest.raises(DegenerateCC):
         canonicalize(pair(U1, U2), CFG)
 

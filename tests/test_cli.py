@@ -318,20 +318,15 @@ def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
-@pytest.mark.parametrize("command,U1,U2,detail", [
-    # the det 1 basis of this Jordan block has a column near 2^1163
-    ("canon", [[1, [1, 10**700]], [0, 1]], IDENT, "witness"),
-    ("equiv", [[1, [1, 10**700]], [0, 1]], IDENT, "witness"),
-    # the coupling 1 / y of the pivot U2 is 10^600
-    ("canon", [[1, [1, 10**300]], [0, 1]], [[1, 10**300], [0, 1]],
-     "coupling"),
-], ids=["canon", "equiv", "canon-coupling"])
+@pytest.mark.parametrize("command", ["canon", "equiv"])
 def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
-                                                    command, U1, U2, detail):
+                                                    command):
+    # the det 1 basis of this Jordan block has a column near 2^1163
+    U1 = [[1, [1, 10**700]], [0, 1]]
     if command == "canon":
-        doc = pair_doc((U1, U2), (JORDAN, IDENT))
+        doc = pair_doc((U1, IDENT), (JORDAN, IDENT))
     else:
-        doc = equiv_doc((U1, U2, JORDAN, IDENT),
+        doc = equiv_doc((U1, IDENT, JORDAN, IDENT),
                         (JORDAN, IDENT, JORDAN, IDENT))
     inp = write_doc(tmp_path, doc)
     out = tmp_path / "out.jsonl"
@@ -339,7 +334,7 @@ def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
         == EXIT_DOMAIN
     bad, good = read_lines(out)
     assert (bad["error"], bad["detail"]) == \
-        ("INTERNAL_VALIDATION", f"{detail} beyond the float range")
+        ("INTERNAL_VALIDATION", "witness beyond the float range")
     assert "error" not in good
     assert capsys.readouterr().err == ""
 
@@ -354,17 +349,27 @@ def rational_rotation(n, sign):
 BIG = 10**20
 
 
-@pytest.mark.parametrize("command,U1,detail", [
+@pytest.mark.parametrize("command,U1,U2,detail", [
     # the eigenvalue BIG / (BIG + 1) rounds to 1.0
-    ("classify", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], "lam = 1.0"),
-    ("canon", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], "lam = 1.0"),
+    ("classify", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], IDENT,
+     "lam = 1.0"),
+    ("canon", [[[BIG + 1, BIG], 0], [0, [BIG, BIG + 1]]], IDENT,
+     "lam = 1.0"),
     # 2 pi - 2e-20 rounds to 2 pi
-    ("classify", rational_rotation(BIG, -1), "theta = 6.28"),
-    ("canon", rational_rotation(BIG, -1), "theta = 6.28"),
-], ids=["classify-lam", "canon-lam", "classify-theta", "canon-theta"])
+    ("classify", rational_rotation(BIG, -1), IDENT, "theta = 6.28"),
+    ("canon", rational_rotation(BIG, -1), IDENT, "theta = 6.28"),
+    # the coupling 10^-600 of the pivot U1: alpha, about 10^-600, rounds
+    # to 0, and with the pivot U2, pi/2 - 10^-600 rounds to pi/2
+    ("canon", [[1, 10**300], [0, 1]], [[1, [1, 10**300]], [0, 1]],
+     "alpha = 0.0 "),
+    ("canon", [[1, [1, 10**300]], [0, 1]], [[1, 10**300], [0, 1]],
+     "alpha = 1.5707963267948966 "),
+], ids=["classify-lam", "canon-lam", "classify-theta", "canon-theta",
+        "canon-alpha", "canon-coupling"])
 def test_rational_rounding_to_boundary_is_out_of_range(tmp_path, capsys,
-                                                       command, U1, detail):
-    inp = write_doc(tmp_path, pair_doc((U1, IDENT), (JORDAN, IDENT)))
+                                                       command, U1, U2,
+                                                       detail):
+    inp = write_doc(tmp_path, pair_doc((U1, U2), (JORDAN, IDENT)))
     out = tmp_path / "out.jsonl"
     assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
         == EXIT_DOMAIN
@@ -607,21 +612,55 @@ def test_canon_forbidden_combo(tmp_path):
     assert read_lines(out)[0]["error"] == "NOT_COMMUTING"
 
 
-def test_canon_rational_tiny_coupling_both_orders(tmp_path):
-    # coupling 1e-9, below param_tol: exact input has tolerance 0, so the
-    # pair is CC in either order, with c = 1e-9 or its inverse
-    near = [[1, [1, 10**9]], [0, 1]]
+# pi to 50 places, and atan of a rational |y| <= 1/10 to within 10^-45
+PI = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
+
+
+def exact_atan(y):
+    total, power, n = y, y, 1
+    while abs(power) > Fraction(1, 10**45):
+        power, n = -power * y * y, n + 2
+        total += power / n
+    return total
+
+
+COUPLINGS = [(s, k) for k in (*range(1, 20), 30, 50, 100, 200, 300)
+             for s in (1, -1)]
+
+
+@pytest.mark.parametrize("sign,k", COUPLINGS,
+                         ids=[f"{s * 10**-k:g}" for s, k in COUPLINGS])
+def test_canon_rational_tiny_coupling_both_orders(tmp_path, sign, k):
+    # the coupling y = +-10^-k of [[1, y], [0, 1]] beside the pivot
+    # [[1, 1], [0, 1]], below param_tol from k = 9 on: exact input has
+    # tolerance 0, so the pair is CC in either order, alpha = atan(y) or
+    # pi/2 - atan(y) mod 2 pi, unless alpha lies within half an ulp of an
+    # end 0, pi/2 or 2 pi of its quarter arc
+    y = Fraction(sign, 10**k)
+    near = [[1, [sign, 10**k]], [0, 1]]
     inp = write_doc(tmp_path, pair_doc((JORDAN, near), (near, JORDAN)))
     out = tmp_path / "out.jsonl"
-    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
-        == EXIT_OK
-    fwd, back = read_lines(out)
-    assert fwd["sector"] == back["sector"] == "CC"
-    assert fwd["exact"]["c"] == [1, 10**9] and back["exact"]["c"] == [10**9, 1]
-    assert fwd["params"] == {"eps1": 1, "eps2": 1, "alpha": 1e-9}
-    assert fwd["witness"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert back["params"]["alpha"] == pytest.approx(math.pi / 2 - 1e-9,
-                                                    abs=1e-15)
+    code = main(["canon", inp, "--out", str(out), "--mode", "rational"])
+    recs = read_lines(out)
+    for rec, alpha, c in zip(recs, (exact_atan(y), PI / 2 - exact_atan(y)),
+                             (y, 1 / y)):
+        alpha %= 2 * PI
+        end = min((0, PI / 2, 2 * PI), key=lambda e: abs(alpha - e))
+        if abs(alpha - end) < math.ulp(float(end)) / 2:
+            assert rec["error"] == "PARAM_OUT_OF_RANGE"
+            assert rec["detail"].startswith(f"alpha = {float(end)!r} ")
+            continue
+        assert rec["sector"] == "CC"
+        assert rec["params"]["eps1"] == rec["params"]["eps2"] == 1
+        assert abs(Fraction(rec["params"]["alpha"]) - alpha) <= \
+            2 * math.ulp(float(alpha))
+        assert rec["exact"]["c"] == [c.numerator, c.denominator]
+        if k >= 8:  # cos(alpha) rounds to 1 in the pivot's frame
+            assert rec["witness"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert code == (EXIT_OK if all("sector" in r for r in recs)
+                    else EXIT_DOMAIN)
+    if code == EXIT_OK:  # the one pivot, so the one witness
+        assert recs[0]["witness"] == recs[1]["witness"]
 
 
 def test_canon_determinism(tmp_path):
