@@ -12,7 +12,11 @@
 #   canon answers CC for each with exit 0;
 # - overflow.json, an exact CC pair whose coupling 1e600 is beyond the
 #   float range, so that alpha = pi/2 - 1e-600 rounds to pi/2: canon exits
-#   3 with a PARAM_OUT_OF_RANGE line and no traceback (an empty stderr).
+#   3 with a PARAM_OUT_OF_RANGE line and no traceback (an empty stderr);
+# - family.json, an exact CB, BC and CC pair conjugated by the rational
+#   shear [[1, 0], [1/2, 1]], each in both orders: canon --mode rational
+#   exits 0 with sectors CB, BC, BC, CB, CC, CC and the "exact" coupling
+#   and sign of each CC record.
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -37,3 +41,13 @@ echo '{"pairs": [{"id": "ovf", "mode": "rational", "U1": [[1, [1, '$e300']], [0,
 rc=0; sl2torus canon overflow.json --out overflow.jsonl 2> overflow.err || rc=$?
 test $rc -eq 3 && test ! -s overflow.err || exit 1
 grep -F '"error": "PARAM_OUT_OF_RANGE"' overflow.jsonl || exit 1
+cb='[[[3, 2], 1], [[-1, 4], [1, 2]]]'  # [[1, 1], [0, 1]] conjugated
+bc='[[-2, -2], [[1, 2], 0]]'  # [[-1, -2], [0, -1]] conjugated
+cc1='[[[13, 10], [3, 5]], [[-3, 20], [7, 10]]]'  # [[1, 3/5], [0, 1]]
+cc2='[[[-7, 5], [-4, 5]], [[1, 5], [-3, 5]]]'  # [[-1, -4/5], [0, -1]]
+neg='[[-1, 0], [0, -1]]'; one='[[1, 0], [0, 1]]'
+echo '{"pairs": [{"id": "cb", "U1": '"$cb"', "U2": '"$neg"'}, {"id": "cb-swap", "U1": '"$neg"', "U2": '"$cb"'}, {"id": "bc", "U1": '"$one"', "U2": '"$bc"'}, {"id": "bc-swap", "U1": '"$bc"', "U2": '"$one"'}, {"id": "cc", "U1": '"$cc1"', "U2": '"$cc2"'}, {"id": "cc-swap", "U1": '"$cc2"', "U2": '"$cc1"'}]}' > family.json
+sl2torus canon --mode rational family.json --out family.jsonl || exit 1
+test "$(grep -o '"sector": "[A-Z]*"' family.jsonl | tr -d '\n')" = '"sector": "CB""sector": "BC""sector": "BC""sector": "CB""sector": "CC""sector": "CC"' || exit 1
+grep -F '"exact": {"c": [-4, 3], "det_sprime_sign": 1}, "id": "cc"' family.jsonl || exit 1
+grep -F '"exact": {"c": [-3, 4], "det_sprime_sign": -1}, "id": "cc-swap"' family.jsonl || exit 1

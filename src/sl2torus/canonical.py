@@ -178,12 +178,8 @@ def _det2(v, w):
     """det(v, w); SL2TorusError when v and w are parallel."""
     d = v[0] * w[1] - v[1] * w[0]
     if d == 0:
-        raise _degenerate(v, w)
+        raise SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
     return d
-
-
-def _degenerate(v, w):
-    return SL2TorusError(f"basis {v!r}, {w!r} is degenerate, det 0")
 
 
 def _canon_A(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
@@ -206,24 +202,17 @@ def _unit_basis(v, w, exact):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
     and w are parallel, or when an exact column has a float entry beyond
-    the float range.  On exact columns, four Fractions, the determinant is
-    taken in integers, and each float is an integer quotient."""
+    the float range.  On exact columns, four Fractions, the determinant
+    and its sign are exact, and the columns and |det| become floats only
+    after the negation, each correctly rounded once."""
+    d = _det2(v, w)
+    sgn = 1 if d > 0 else -1
+    if sgn < 0:  # an exact 0 negates to 0, whose float is 0.0, not -0.0
+        v, d = (-v[0], -v[1]), -d
     try:
         if exact:
-            (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
-                (x.numerator, x.denominator) for x in (*v, *w))
-            n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det times q0 q1 s0 s1
-            if n == 0:
-                raise _degenerate(v, w)
-            sgn = 1 if n > 0 else -1
-            # an exact 0 negates to 0, whose float is 0.0, not -0.0
-            d = sgn * n / (q0 * q1 * s0 * s1)
-            v, w = (sgn * p0 / q0, sgn * p1 / q1), (r0 / s0, r1 / s1)
-        else:
-            d = _det2(v, w)
-            sgn = 1 if d > 0 else -1
-            if sgn < 0:
-                v, d = (-v[0], -v[1]), -d
+            v, w, d = ((float(v[0]), float(v[1])),
+                       (float(w[0]), float(w[1])), float(d))
         r = 1.0 / math.sqrt(d)
         return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
     except OverflowError:
@@ -231,6 +220,10 @@ def _unit_basis(v, w, exact):
 
 
 def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
+    """CB, or CC with O = xI + yP.  On an exact pair x, y and P's basis
+    are Fractions: the float code runs on them with tolerance 0, so the
+    vanishing coupling, eps2 and the sign of det(v1, w) are exact, and y
+    and the basis become floats only then, each correctly rounded once."""
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
@@ -240,17 +233,15 @@ def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
         return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
     # O w = y v1 + eps2 w, so the coupling U2 w - eps2 w = c v1 is c = y
     c = xy[1]
-    if exact:
-        eps2, cf, v1, w, sgn = _exact_coupling(t.eps, xy, v1, w)
-    else:
-        if abs(c) <= cfg.param_tol:
-            raise DegenerateCC(f"coupling scalar {c!r} vanishes within "
-                               "tolerance")
-        eps2 = 1 if xy[0] + c * t.eps > 0 else -1
-        sgn = 1 if _det2(v1, w) > 0 else -1
-        # the exact P of a mixed pair has a Fraction basis; float(F) op x
-        # is F op x, without the mixed operation
-        cf, v1, w = c, (float(v1[0]), float(v1[1])), (float(w[0]), float(w[1]))
+    if abs(c) <= (0 if exact else cfg.param_tol):
+        raise DegenerateCC(f"coupling scalar {c!r} vanishes within "
+                           "tolerance")
+    eps2 = 1 if xy[0] + c * t.eps > 0 else -1
+    sgn = 1 if _det2(v1, w) > 0 else -1
+    # the exact P of a mixed pair has a Fraction basis too; float(F) op x
+    # is F op x, without the mixed operation
+    cf = float(c)
+    v1, w = (float(v1[0]), float(v1[1])), (float(w[0]), float(w[1]))
     base = math.atan(cf)  # in (-pi/2, pi/2), cos > 0
     if sgn > 0:  # the sign of c, as cf can round to 0
         alpha = base if c > 0 else base + _TWO_PI
@@ -260,25 +251,6 @@ def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
     # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
     S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w, False)
     return "CC", {"eps1": t.eps, "eps2": eps2, "alpha": alpha}, S, c, sgn
-
-
-def _exact_coupling(eps, xy, v1, w):
-    """_canon_C's decisions on an exact pair, in integers: (eps2, the float
-    of the coupling y, v1 and w as floats, sign of det(v1, w)).  x, y and
-    the columns are Fractions, and the tolerance is 0, so only y = 0 is
-    degenerate; |y| <= 1, as P is the pivot."""
-    (xn, xd), (yn, yd) = ((z.numerator, z.denominator) for z in xy)
-    if yn == 0:
-        raise DegenerateCC(f"coupling scalar {xy[1]!r} vanishes within "
-                           "tolerance")
-    eps2 = 1 if xn * yd + eps * yn * xd > 0 else -1  # sign of x + y eps
-    (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
-        (z.numerator, z.denominator) for z in (*v1, *w))
-    n = p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1  # det(v1, w) times q0 q1 s0 s1
-    if n == 0:
-        raise _degenerate(v1, w)
-    return (eps2, yn / yd, (p0 / q0, p1 / q1), (r0 / s0, r1 / s1),
-            1 if n > 0 else -1)
 
 
 def _rotation_angle(si, co) -> float:
@@ -355,8 +327,9 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     classified.  Its partner O is B by classify's test, or else O = xI + yP
     (Horn & Johnson, 3.2.4), with y the ratio of the traceless parts at
     P's largest entry, which cannot overflow as a squared norm can.  On an
-    exact pair these are decided and computed in integers, and x and y are
-    Fractions."""
+    exact pair the pivot, x and y are computed in integers, as every exact
+    record needs them, and x and y are Fractions; the C family's signs are
+    then decided in Fraction arithmetic (see _canon_C)."""
     U1, U2 = p.U1, p.U2
     exact = integer_form(U1) is not None and integer_form(U2) is not None
     h1, t1, n1, k1, g1 = _traceless(U1, exact)

@@ -215,11 +215,6 @@ def binary_exponent(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
-def _fraction_times_power_of_two(n: int, d: int, k: int) -> Fraction:
-    """Fraction(n, d) * 2**k."""
-    return Fraction(n << k, d) if k >= 0 else Fraction(n, d << -k)
-
-
 def _real_eigendirection(a, b, c, d, minus_c, lam):
     """Unit kernel vector of [[a, b], [c, d]] - lam*I, sign-normalized.
     minus_c is -c as a float; for an exact c = 0 it is the float of the
@@ -253,18 +248,15 @@ def _parabolic_basis(U: SL2Matrix, eps):
     # by largest entry, so that a tiny one is not rounded to zero
     A, B, C, D, m = F
     second = max(abs(B), abs(D - eps * m)) >= max(abs(A - eps * m), abs(C))
-    # the column (b, d - eps) or (a - eps, c) and w times 2**k, so that
-    # det(v1, w), which is b or -c, comes near 1 and a nilpotent part far
-    # below the float range keeps its witness
+    # the column (b, d - eps) or (a - eps, c) and w times a power of two
+    # s, so that det(v1, w), which is b or -c, comes near 1 and a
+    # nilpotent part far below the float range keeps its witness
     off, diag = (U.b, U.d) if second else (U.c, U.a)
-    k = -(binary_exponent(off) // 2)
-    off = _fraction_times_power_of_two(off.numerator, off.denominator, k)
-    diag = _fraction_times_power_of_two(
-        diag.numerator - eps * diag.denominator, diag.denominator, k)
-    one, zero = _fraction_times_power_of_two(1, 1, k), Fraction(0)
+    s = Fraction(2) ** -(binary_exponent(off) // 2)
+    off, diag, zero = off * s, (diag - eps) * s, Fraction(0)
     if second:
-        return (off, diag), (zero, one)
-    return (diag, off), (one, zero)
+        return (off, diag), (zero, s)
+    return (diag, off), (s, zero)
 
 
 @dataclass(slots=True)

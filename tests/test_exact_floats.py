@@ -4,17 +4,21 @@ classify reads the floats of an exact matrix from its integers (see
 sl2.exact_integers), and the CLI range-checks rational entries and traces
 as integer quotients.  Here a reference computes the same quantities in
 Fraction arithmetic, as the package once did, and every result must match
-it bit for bit: the parameter, the basis and any exception.
+it bit for bit: the parameter, the basis and any exception.  The signs of
+exact C-family canonical forms, which canonicalize decides in Fraction
+arithmetic, are checked against integer formulas on the numerators and
+denominators of the normal forms.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2torus import SL2Matrix, classify, conjugate
+from sl2torus import SL2Matrix, canonicalize, classify, conjugate
+from sl2torus.canonical import component_index
 from sl2torus.cli import (
     ParseFailure,
     _beyond_float_range,
@@ -22,6 +26,7 @@ from sl2torus.cli import (
     _pair,
 )
 from sl2torus.errors import DeterminantError, ParamOutOfRange
+from sl2torus.pairs import CommutingPair
 from sl2torus.sl2 import float_copy
 
 # --- classify -------------------------------------------------------------
@@ -207,3 +212,84 @@ def test_trace_range_check_overflows_like_float_of_fraction(q, delta):
     else:
         with pytest.raises(DeterminantError):
             _pair(side, "w", "rational", None)
+
+
+# --- the signs of exact C-family canonical forms --------------------------
+
+
+def _sign(n):
+    return 1 if n > 0 else -1
+
+
+def _integer_det_sign(v, w):
+    """Sign of det(v, w) for four Fraction entries, in integers."""
+    (p0, q0), (p1, q1), (r0, s0), (r1, s1) = (
+        (x.numerator, x.denominator) for x in (*v, *w))
+    return _sign(p0 * r1 * q1 * s0 - p1 * r0 * q0 * s1)
+
+
+def _conjugated_jordan(eps, n, d, S):
+    """S^-1 [[eps, n/d], [0, eps]] S, or None when an entry is beyond the
+    float range, where the CLI rejects the record."""
+    U = conjugate(_exact(eps, Fraction(n, d), 0, eps), S)
+    return None if any(map(_overflows, (U.a, U.b, U.c, U.d))) else U
+
+
+@st.composite
+def nilpotent_parts(draw):
+    """The nilpotent parts (n1, d1), (n2, d2) of a CC normal form: a
+    Pythagorean (cos, sin) in any quarter, or 1 beside +-1/10^k."""
+    s1, s2 = draw(signs), draw(signs)
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 40))
+        n = draw(st.integers(1, m - 1))
+        h = m * m + n * n
+        return (s1 * (m * m - n * n), h), (s2 * 2 * m * n, h)
+    return (s1, 1), (s2, 10 ** draw(st.integers(1, 14)))
+
+
+@given(nilpotent_parts(), signs, signs, conjugators())
+@settings(max_examples=300, deadline=None)
+def test_cc_signs_match_integer_formulas(parts, e1, e2, S):
+    # U1 and U2 = S^-1 [[e, n/d], [0, e]] S: tan(alpha) = c = (n2/d2) /
+    # (n1/d1), alpha's quarter arc is that of (n1, n2), and det S' has the
+    # sign of n1, which is also the orientation of U1's basis
+    (n1, d1), (n2, d2) = parts
+    U1 = _conjugated_jordan(e1, n1, d1, S)
+    U2 = _conjugated_jordan(e2, n2, d2, S)
+    assume(U1 is not None and U2 is not None)
+    quarter = {(1, 1): 0, (-1, 1): 1, (-1, -1): 2, (1, -1): 3}
+    for (P, e, n, d), (O, eo, no, do) in (
+            ((U1, e1, n1, d1), (U2, e2, n2, d2)),
+            ((U2, e2, n2, d2), (U1, e1, n1, d1))):
+        assert _integer_det_sign(*classify(P).basis) == _sign(n)
+        cp = canonicalize(CommutingPair(P, O))
+        assert cp.sector == "CC"
+        assert (cp.params["eps1"], cp.params["eps2"]) == (e, eo)
+        assert cp.trace.det_sprime_sign == _sign(n)
+        assert type(cp.trace.c) is Fraction
+        assert cp.trace.c == Fraction(no * d, do * n)
+        assert component_index("alpha", cp.params["alpha"]) == quarter[
+            _sign(n), _sign(no)]
+
+
+@given(st.builds(lambda k, f: f / 10**k,
+                 st.one_of(st.integers(0, 40), st.just(100)),
+                 st.fractions(Fraction(1, 7), 3, max_denominator=9)),
+       signs, signs, signs, conjugators())
+@settings(max_examples=300, deadline=None)
+def test_cb_bc_signs_match_integer_formulas(y, s, e1, e2, S):
+    # S^-1 [[e1, s y], [0, e1]] S beside e2 I: eps3 (eps4 in the other
+    # order) and det S' are the sign of the numerator of s y
+    U1 = _conjugated_jordan(e1, s * y.numerator, y.denominator, S)
+    assume(U1 is not None)
+    U2, sign = _exact(e2, 0, 0, e2), _sign(s * y.numerator)
+    assert _integer_det_sign(*classify(U1).basis) == sign
+    cb = canonicalize(CommutingPair(U1, U2))
+    bc = canonicalize(CommutingPair(U2, U1))
+    assert (cb.sector, cb.params) == ("CB", {"eps1": e1, "eps2": e2,
+                                             "eps3": sign})
+    assert (bc.sector, bc.params) == ("BC", {"eps1": e2, "eps2": e1,
+                                             "eps4": sign})
+    assert cb.trace.c is None and bc.trace.c is None
+    assert cb.trace.det_sprime_sign == bc.trace.det_sprime_sign == sign
