@@ -16,7 +16,11 @@
 # - family.json, an exact CB, BC and CC pair conjugated by the rational
 #   shear [[1, 0], [1/2, 1]], each in both orders: canon --mode rational
 #   exits 0 with sectors CB, BC, BC, CB, CC, CC and the "exact" coupling
-#   and sign of each CC record.
+#   and sign of each CC record;
+# - witness.json, written by python3 (standard library only), an exact CC
+#   pair whose entries fit a float but whose witness products do not, in
+#   both orders: canon exits 3 with an INTERNAL_VALIDATION and a
+#   PARAM_OUT_OF_RANGE line and an empty stderr.
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -51,3 +55,18 @@ sl2torus canon --mode rational family.json --out family.jsonl || exit 1
 test "$(grep -o '"sector": "[A-Z]*"' family.jsonl | tr -d '\n')" = '"sector": "CB""sector": "BC""sector": "BC""sector": "CB""sector": "CC""sector": "CC"' || exit 1
 grep -F '"exact": {"c": [-4, 3], "det_sprime_sign": 1}, "id": "cc"' family.jsonl || exit 1
 grep -F '"exact": {"c": [-3, 4], "det_sprime_sign": -1}, "id": "cc-swap"' family.jsonl || exit 1
+python3 - > witness.json <<'EOF'
+import json
+from fractions import Fraction as F
+def mul(A, B):
+    return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in (0, 1)] for i in (0, 1)]
+r = F(7, 8) / 10**150  # S = [[1, 5/4], [0, 1]] diag(r, 1/r) [[1, 0], [-5/4, 1]]
+S = mul(mul([[F(1), F(5, 4)], [F(0), F(1)]], [[r, F(0)], [F(0), 1 / r]]), [[F(1), F(0)], [F(-5, 4), F(1)]])
+Si = [[S[1][1], -S[0][1]], [-S[1][0], S[0][0]]]
+U1, U2 = ([[[x.numerator, x.denominator] for x in row] for row in mul(mul(Si, [[F(-1), b], [F(0), F(-1)]]), S)] for b in (F(1), F(2, 10**200)))
+print(json.dumps({"pairs": [{"id": "given", "mode": "rational", "U1": U1, "U2": U2}, {"id": "swapped", "mode": "rational", "U1": U2, "U2": U1}]}))
+EOF
+rc=0; sl2torus canon witness.json --out witness.jsonl 2> witness.err || rc=$?
+test $rc -eq 3 && test ! -s witness.err || exit 1
+grep -F '"detail": "internal witness validation failed (CC, err beyond the float range)", "error": "INTERNAL_VALIDATION", "id": "given"' witness.jsonl || exit 1
+grep -F '"error": "PARAM_OUT_OF_RANGE", "id": "swapped"' witness.jsonl || exit 1

@@ -40,14 +40,14 @@ from .canonical import (
 __version__ = "0.1.0"
 
 # loaded on first use (PEP 562): nothing else in the package uses the
-# oracle, and only plotting and sampling use the atlas and its constants
+# oracle, and only plotting and sampling use the atlas
 _LAZY = {
     "oracle": ("ConjugatorSearchReport", "exact_classify",
                "search_conjugator"),
     "atlas": ("SEPARATED", "CellIncidence", "EmbeddedPoint", "SectorDomain",
-              "component_key", "component_labels", "depiction_component",
-              "embed", "incidence", "parameter_domain", "sample_sector",
-              "sector_distance"),
+              "component_key", "component_label", "component_labels",
+              "depiction_component", "embed", "incidence", "parameter_domain",
+              "place", "sample_sector", "sector_distance"),
     "constants": (),
 }
 

@@ -6,7 +6,7 @@ parameter table and canonical matrices.
 
 Two topologies coexist and are never mixed: `sector_distance` implements
 the separated (Hausdorff) topology in which the eleven sectors and their
-components are mutually disconnected, while `incidence`/`embed` implement
+components are mutually disconnected, while `incidence`/`place` implement
 the depiction topology of the R^3 picture.
 """
 
@@ -113,8 +113,8 @@ def _token(sector: str, name: str, value) -> str:
     return ("arc" if name == "alpha" else name) + str(k)
 
 
-def _component(sector: str, params: dict) -> str:
-    # "/" keeps labels safe as unquoted CSV fields
+def component_label(sector: str, params: dict) -> str:
+    """Depiction component label of a point; "/" keeps it CSV-safe."""
     return sector + ":" + "/".join(
         _token(sector, name, params[name]) for name in _LABEL_AXES[sector]
     )
@@ -122,7 +122,7 @@ def _component(sector: str, params: dict) -> str:
 
 def depiction_component(c: CanonicalPair) -> str:
     """Depiction component label for a canonical pair."""
-    return _component(c.sector, c.params)
+    return component_label(c.sector, c.params)
 
 
 def cells(sector: str):
@@ -137,7 +137,7 @@ def cells(sector: str):
 
 def component_labels():
     """All depiction components, keyed by sector."""
-    return {s: [_component(s, p) for p in cells(s)] for s in SECTORS}
+    return {s: [component_label(s, p) for p in cells(s)] for s in SECTORS}
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def incidence() -> CellIncidence:
     ent = []
     for sector in SECTORS:
         for point in cells(sector):
-            cell = _component(sector, point)
+            cell = component_label(sector, point)
             for name in SECTOR_CONTINUOUS[sector]:
                 k = component_index(name, point[name])
                 for end in AXIS_COMPONENTS[name][k]:
@@ -224,24 +224,25 @@ _ENDS = {
 _SHEET_SIDE = {"AA1": 1.0, "AA2": -1.0}  # the edges lie between the sheets
 
 
-def embed(c: CanonicalPair) -> EmbeddedPoint:
-    """Place c on the map of its family, picked by the tag of its
+def place(sector: str, params: dict):
+    """(x, y, z) on the map of the family picked by the tag of the sector's
     non-scalar matrix: A on the sheet, C on a circle, D on the torus, and
     BB, with no such matrix, at a corner of the torus."""
-    check_params(c.sector, c.params)
-    family = next((t for t in c.sector[:2] if t != "B"), "D")
-    at = dict(c.params)
-    for eps in SECTOR_DISCRETE[c.sector]:
+    check_params(sector, params)
+    family = next((t for t in sector[:2] if t != "B"), "D")
+    at = dict(params)
+    for eps in SECTOR_DISCRETE[sector]:
         axis, plus, minus = _ENDS[family][eps]
-        at[axis] = plus if c.params[eps] > 0 else minus
+        at[axis] = plus if params[eps] > 0 else minus
     if family == "A":
-        xyz = _sheet_point(at["lam"], at["mu"],
-                           _SHEET_SIDE.get(c.sector, 0.0))
-    else:
-        xyz = _torus_point(at["theta"], at["phi"])
-        if family == "C":
-            xyz = _circle_point(xyz, at["alpha"])
-    return EmbeddedPoint(*xyz, sector=c.sector, params=dict(c.params))
+        return _sheet_point(at["lam"], at["mu"], _SHEET_SIDE.get(sector, 0.0))
+    xyz = _torus_point(at["theta"], at["phi"])
+    return _circle_point(xyz, at["alpha"]) if family == "C" else xyz
+
+
+def embed(c: CanonicalPair) -> EmbeddedPoint:
+    """The point of c on the depiction, placed by `place`."""
+    return EmbeddedPoint(*place(c.sector, c.params), c.sector, dict(c.params))
 
 
 # ---------------------------------------------------------------------------

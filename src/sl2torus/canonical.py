@@ -376,13 +376,20 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     if err > tol and (Q1 is not U1 or Q2 is not U2):
         # a float product rounds an exact entry far below the float range
         # to zero, so exact input that fails is checked again exactly
-        W = SL2Matrix(*(Fraction(x) for x in (S.a, S.b, S.c, S.d)))
-        err = _witness_error(U1, U2, W, target)
+        err = _witness_error(U1, U2, _fractions(S), CommutingPair(
+            _fractions(target.U1), _fractions(target.U2)))
     if err > tol:
+        try:
+            size = f"err {float(err):.3e}"
+        except OverflowError:  # an exact err too large for a float
+            size = "err beyond the float range"
         raise SL2TorusError(
-            f"internal witness validation failed ({sector}, err {err:.3e})"
-        )
+            f"internal witness validation failed ({sector}, {size})")
     return result
+
+
+def _fractions(M: SL2Matrix) -> SL2Matrix:
+    return SL2Matrix(*(Fraction(x) for x in (M.a, M.b, M.c, M.d)))
 
 
 def _witness_error(U1, U2, W, target: CommutingPair):

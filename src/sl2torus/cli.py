@@ -29,6 +29,7 @@ from .canonical import (
     reconstruct,
     same_class,
 )
+from .constants import FIGURES  # plot's choices; figures loads on use
 from .errors import (
     ClassificationAmbiguous,
     DegenerateCC,
@@ -39,22 +40,12 @@ from .errors import (
     SL2TorusError,
 )
 from .pairs import make_pair, spectral_types
-from .sl2 import (
-    ToleranceConfig,
-    integer_form,
-    make_sl2,
-    trace_class,
-)
+from .sl2 import ToleranceConfig, integer_form, make_sl2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_AMBIGUOUS = 4
-
-
-# figures.FIGURES, for argparse's choices without importing the plotting
-# and sampling code, which only `plot` and `sample` load
-FIGURES = ("ab", "bc", "bd", "overall")
 
 
 class ParseFailure(Exception):
@@ -268,12 +259,13 @@ def _canon_record(rec, where, mode, cfg):
         if result.sector == "CC":
             exact["c"] = [c.numerator, c.denominator]
             exact["det_sprime_sign"] = result.trace.det_sprime_sign
-        for key, U in (("cos_theta", p.U1), ("cos_phi", p.U2)):
-            if trace_class(U, cfg) == "elliptic":  # cos = tr / 2 = n / 2m
+        # U1 is elliptic in DB and DD, U2 in BD and DD
+        for key, U, tag in (("cos_theta", p.U1, result.sector[0]),
+                            ("cos_phi", p.U2, result.sector[1])):
+            if tag == "D":  # cos = tr / 2 = (A + D) / 2m
                 A, _, _, D, m = integer_form(U)
-                n = A + D
-                g = math.gcd(n, 2 * m)
-                exact[key] = [n // g, 2 * m // g]
+                cos = Fraction(A + D, 2 * m)
+                exact[key] = [cos.numerator, cos.denominator]
         if exact:
             out["exact"] = exact
     return out

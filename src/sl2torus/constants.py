@@ -4,6 +4,8 @@ Only the structure of the picture is contractual; these numbers just make
 the rendering readable and the per-component embeddings injective.
 """
 
+FIGURES = ("ab", "bc", "bd", "overall")  # what `plot` draws
+
 TORUS_MAJOR = 2.0        # distance from torus axis to tube center
 TORUS_MINOR = 0.7        # tube radius
 Z_TWIST = 0.3            # z-perturbation separating the four anchor points

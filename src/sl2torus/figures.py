@@ -4,27 +4,24 @@ for CSV emission and a fixed-camera orthographic SVG."""
 from __future__ import annotations
 
 from . import constants as K
-from .atlas import depiction_component, embed
-from .canonical import AXIS_COMPONENTS, SIGNS, CanonicalPair, CanonTrace
-from .sl2 import IDENTITY
+from .atlas import component_label, place
+from .canonical import AXIS_COMPONENTS, SIGNS
+from .constants import FIGURES
 
-FIGURES = ("ab", "bc", "bd", "overall")
+SVG_WIDTH, SVG_HEIGHT = 800, 600
 
 
 def _point(kind, sector, params, circle="", component=None):
     """One sample row; its component is the depiction component of the
     point unless given."""
-    c = CanonicalPair(sector, params, IDENTITY, CanonTrace())
-    ep = embed(c)
+    x, y, z = place(sector, params)
     return {
         "kind": kind,
-        "component": component or depiction_component(c),
+        "component": component or component_label(sector, params),
         "circle": circle,
         "sector": sector,
         "params": ";".join(f"{k}={v!r}" for k, v in sorted(params.items())),
-        "x": ep.x,
-        "y": ep.y,
-        "z": ep.z,
+        "x": x, "y": y, "z": z,
     }
 
 
@@ -141,7 +138,7 @@ _KIND_STYLE = {
 }
 
 
-def rows_to_svg(rows, width: int = 800, height: int = 600) -> str:
+def rows_to_svg(rows) -> str:
     pts = [(_project(r["x"], r["y"], r["z"]), r["kind"]) for r in rows]
     us = [p[0][0] for p in pts]
     vs = [p[0][1] for p in pts]
@@ -149,15 +146,15 @@ def rows_to_svg(rows, width: int = 800, height: int = 600) -> str:
     vmin, vmax = min(vs), max(vs)
     span_u = (umax - umin) or 1.0
     span_v = (vmax - vmin) or 1.0
-    scale = min((width - 40) / span_u, (height - 40) / span_v)
+    scale = min((SVG_WIDTH - 40) / span_u, (SVG_HEIGHT - 40) / span_v)
 
     def to_px(u, v):
         return (20 + (u - umin) * scale, 20 + (v - vmin) * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for (u, v), kind in pts:
         style, radius = _KIND_STYLE[kind]

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import random
 from collections import Counter
@@ -22,8 +23,9 @@ from sl2torus import (
 )
 from sl2torus.atlas import (
     cells,
-    _component,
     component_key,
+    component_label,
+    place,
     sample_params,
     sample_sector,
 )
@@ -32,13 +34,10 @@ from sl2torus.canonical import (
     CANONICAL,
     SECTOR_CONTINUOUS,
     SECTORS,
-    CanonicalPair,
-    CanonTrace,
     component_index,
 )
-from sl2torus.figures import figure_rows
+from sl2torus.figures import figure_rows, rows_to_csv, rows_to_svg
 from sl2torus.pairs import CommutingPair
-from sl2torus.sl2 import IDENTITY
 
 CFG = ToleranceConfig()
 
@@ -212,7 +211,8 @@ def test_incidence_is_a_cell_complex():
 @pytest.mark.parametrize("delta", [1e-3, 1e-6])
 def test_embed_continuous_at_attached_boundaries(delta):
     # the interior point of each cell, by label
-    points = {_component(s, p): (s, p) for s in SECTORS for p in cells(s)}
+    points = {component_label(s, p): (s, p)
+              for s in SECTORS for p in cells(s)}
     attached = [e for e in incidence().entries if e[1] != "(open)"]
     assert attached
     for cell, bnd, note in attached:
@@ -225,10 +225,9 @@ def test_embed_continuous_at_attached_boundaries(delta):
         assert depiction_component(limit) == bnd
         near = {**inside,
                 name: end + math.copysign(delta, inside[name] - end)}
-        a = embed(CanonicalPair(sector, near, IDENTITY, CanonTrace()))
         b = embed(limit)
-        assert math.dist((a.x, a.y, a.z), (b.x, b.y, b.z)) <= 10 * delta, \
-            (cell, bnd, note)
+        assert math.dist(place(sector, near), (b.x, b.y, b.z)) \
+            <= 10 * delta, (cell, bnd, note)
 
 
 def test_depiction_component_lookup():
@@ -253,10 +252,48 @@ def test_figure_rows_use_depiction_components():
     for r in rows:
         params = {k: ast.literal_eval(v) for k, v in
                   (kv.split("=") for kv in r["params"].split(";"))}
-        label = depiction_component(
-            CanonicalPair(r["sector"], params, IDENTITY, CanonTrace()))
+        label = component_label(r["sector"], params)
         assert r["component"] == label
         assert label in labels[r["sector"]]
+        assert (r["x"], r["y"], r["z"]) == place(r["sector"], params)
+
+
+# SHA-256 of rows_to_csv + rows_to_svg: a change to how rows are built must
+# leave the plot's bytes as they are
+PLOT_DIGESTS = {
+    ("ab", 1):
+        "2787ef8678e204eed86b2ec1f81735f4f03593052c61a8f1ca2465721eafa8d6",
+    ("bc", 1):
+        "953cd2dd43dede41986cb679bcb8f8c53cb75e495f8b8d0b27ec036754b3d1c2",
+    ("bd", 1):
+        "cf70fc95b9ab3db7f51499a14eddb5b1e279bd24815a0e9c4a92adc19b447591",
+    ("overall", 1):
+        "96be898dd358fb4fc2a7da39ced33b32a603d8365282b2492f0f65aea2293a25",
+    ("ab", 3):
+        "151690ef9336f6f1980f8812c507ef1ee2d8304baa0cfb8492496d7db0fd653f",
+    ("bc", 3):
+        "0a7ea6a47a75de0d0d82fecf57543d962bd0c0f5498af659c73e0cbbf732f40e",
+    ("bd", 3):
+        "e67d13887935adf5e7483f69ec67a2c242ae39662f3838cb9a7d6bcb5f894883",
+    ("overall", 3):
+        "fcd621b3a6c6dc2b9fb25b4d45707dc2d9863c4e0afe078df742c60644054ef9",
+    ("ab", 12):
+        "708dfdfcd6c866ba0f8d46d52ac57600395fdebbfb370ed71ede1d49b4ce3fd0",
+    ("bc", 12):
+        "8e53e82a2644b1c08927980f0dd63dde55d4c05b7a3014776be08b44052d79ee",
+    ("bd", 12):
+        "133c4308ca35a37e4c3b74e68dd3d1b74995e3e223829d5a17b4e4765a5d13ef",
+    ("overall", 12):
+        "52b055a0ff3b4a24bb4f21cfad0e25e89f25aeabe58faed3da5dc44cc825fb3c",
+}
+
+
+@pytest.mark.parametrize("figure,resolution", sorted(PLOT_DIGESTS))
+def test_plot_bytes_unchanged(figure, resolution):
+    rows = figure_rows(figure, resolution)
+    text = rows_to_csv(rows) + rows_to_svg(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PLOT_DIGESTS[figure, resolution]
 
 
 # --- embedding ------------------------------------------------------------
@@ -323,6 +360,16 @@ def test_embed_validates_ranges():
                            bad.witness, bad.trace)
     with pytest.raises(ParamOutOfRange):
         embed(hacked)
+    with pytest.raises(ParamOutOfRange):
+        place(hacked.sector, hacked.params)
+
+
+def test_embed_is_place_with_the_pair():
+    c = canon_of("CC", {"eps1": 1, "eps2": -1, "alpha": 0.7})
+    p = embed(c)
+    assert (p.x, p.y, p.z) == place(c.sector, c.params)
+    assert (p.sector, p.params) == (c.sector, c.params)
+    assert p.params is not c.params
 
 
 # --- sampling -------------------------------------------------------------

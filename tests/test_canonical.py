@@ -690,6 +690,33 @@ def test_float_canonicalize_tests_exactness_once_per_matrix(monkeypatch):
     assert calls == [q.U1, q.U2]
 
 
+def overflow_cc():
+    """An exact CC pair whose entries fit a float but whose witness
+    products do not: S^-1 [[-1, b], [0, -1]] S for b = 1 and 2e-200, with
+    S = [[1, 5/4], [0, 1]] diag(r, 1/r) [[1, 0], [-5/4, 1]] and
+    r = 7/8 * 10^-150."""
+    F = Fraction
+    r = F(7, 8) / 10**150
+    S = (SL2Matrix(F(1), F(5, 4), F(0), F(1))
+         @ SL2Matrix(r, F(0), F(0), 1 / r)
+         @ SL2Matrix(F(1), F(0), F(-5, 4), F(1)))
+    return tuple(conjugate(SL2Matrix(F(-1), b, F(0), F(-1)), S)
+                 for b in (F(1), F(2, 10**200)))
+
+
+def test_exact_witness_error_beyond_float_range_is_a_record_error():
+    # the exact retry of the witness check meets an err beyond the float
+    # range; swapped, alpha rounds to pi/2
+    U1, U2 = overflow_cc()
+    with pytest.raises(SL2TorusError) as exc:
+        canonicalize(make_pair(U1, U2))
+    assert type(exc.value) is SL2TorusError
+    assert str(exc.value) == ("internal witness validation failed "
+                              "(CC, err beyond the float range)")
+    with pytest.raises(ParamOutOfRange, match="alpha = 1.5707963267948966"):
+        canonicalize(make_pair(U2, U1))
+
+
 # --- the entry-wise witness check against the products it replaces --------
 
 float_matrices = st.builds(SL2Matrix, *[st.floats(-1e3, 1e3)] * 4)

@@ -28,6 +28,7 @@ from sl2torus.cli import (
     _write_file,
     main,
 )
+from test_canonical import overflow_cc
 
 
 def write_doc(tmp_path, doc, name="in.json"):
@@ -335,6 +336,26 @@ def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
     bad, good = read_lines(out)
     assert (bad["error"], bad["detail"]) == \
         ("INTERNAL_VALIDATION", "witness beyond the float range")
+    assert "error" not in good
+    assert capsys.readouterr().err == ""
+
+
+def test_exact_witness_error_beyond_float_range_both_orders(tmp_path, capsys):
+    # the exact witness check's err is beyond the float range; swapped,
+    # alpha rounds to pi/2
+    U1, U2 = (
+        [[[x.numerator, x.denominator] for x in row] for row in U.entries()]
+        for U in overflow_cc())
+    inp = write_doc(tmp_path, pair_doc((U1, U2), (U2, U1), (JORDAN, IDENT)))
+    out = tmp_path / "out.jsonl"
+    assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_DOMAIN
+    given, swapped, good = read_lines(out)
+    assert (given["error"], given["detail"]) == (
+        "INTERNAL_VALIDATION",
+        "internal witness validation failed (CC, err beyond the float range)")
+    assert swapped["error"] == "PARAM_OUT_OF_RANGE"
+    assert swapped["detail"].startswith("alpha = 1.5707963267948966 ")
     assert "error" not in good
     assert capsys.readouterr().err == ""
 

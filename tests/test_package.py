@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 import sl2torus
-from sl2torus import atlas, figures, oracle
-from sl2torus.cli import FIGURES
+from sl2torus import atlas, cli, constants, figures, oracle
 
 SRC = Path(sl2torus.__file__).resolve().parent.parent
 
 # every public name of the package namespace while it still imported the
-# atlas eagerly, and the oracle's lazily loaded names
+# atlas eagerly, the oracle's lazily loaded names, and the atlas's place and
+# component_label
 EXPORTED = (
     "CanonTrace", "CanonicalPair", "CellIncidence", "ClassificationAmbiguous",
     "CommutingPair", "DegenerateCC", "DeterminantError", "EmbeddedPoint",
@@ -28,6 +28,7 @@ EXPORTED = (
     "reconstruct", "rotation", "sample_sector", "sector_distance", "sl2",
     "sl2_from_coords", "trace_class",
     "ConjugatorSearchReport", "exact_classify", "search_conjugator",
+    "component_label", "place",
 )
 
 
@@ -55,4 +56,4 @@ def test_cli_import_leaves_plotting_and_sampling_unloaded():
 
 
 def test_cli_figure_choices_are_the_figures():
-    assert FIGURES == figures.FIGURES
+    assert cli.FIGURES is figures.FIGURES is constants.FIGURES
