@@ -116,14 +116,18 @@ def component_index(name: str, value) -> int:
 
 def check_params(sector: str, params: dict) -> None:
     """ParamOutOfRange unless sector is known, its discrete parameters are
-    +-1 and its continuous ones lie in an open component."""
+    +-1 and its continuous ones lie in an open component, or when one of
+    them is missing."""
     if sector not in SECTOR_DISCRETE:
         raise ParamOutOfRange(f"unknown sector {sector!r}")
-    for k in SECTOR_DISCRETE[sector]:
-        if params[k] not in SIGNS:
-            raise ParamOutOfRange(f"{k} = {params[k]!r} not in {{+1, -1}}")
-    for k in SECTOR_CONTINUOUS[sector]:
-        component_index(k, params[k])
+    try:
+        for k in SECTOR_DISCRETE[sector]:
+            if params[k] not in SIGNS:
+                raise ParamOutOfRange(f"{k} = {params[k]!r} not in {{+1, -1}}")
+        for k in SECTOR_CONTINUOUS[sector]:
+            component_index(k, params[k])
+    except KeyError as exc:  # str(exc) is the missing key's repr
+        raise ParamOutOfRange(f"{sector} has no parameter {exc}") from None
 
 
 def _diag(x):
@@ -165,8 +169,8 @@ def reconstruct(sector: str, params: dict) -> CommutingPair:
 
 # ---------------------------------------------------------------------------
 # one construction per spectral family of the pivot P (A, C or D), as if P
-# were U1; its partner O is scalar (xy is None) or O = xI + yP; exact says
-# that both matrices are exact, when x and y are Fractions
+# were U1; its partner O is scalar (xy is None) or O = xI + yP, where x and
+# y are Fractions on an exact pair and floats on any other
 # ---------------------------------------------------------------------------
 
 
@@ -182,7 +186,7 @@ def _det2(v, w):
     return d
 
 
-def _canon_A(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
+def _canon_A(P, t: SpectralType, xy, cfg: ToleranceConfig):
     lam, (v, w) = t.lam, t.basis  # small-|eigenvalue| direction first
     # w rescaled so that the column matrix has det 1
     d = _det2(v, w)
@@ -198,42 +202,39 @@ def _canon_A(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
     return "AA2", {"lam": lam, "mu": x + y / lam}, S, None, sgn
 
 
-def _unit_basis(v, w, exact):
+def _unit_basis(v, w):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
     and w are parallel, or when an exact column has a float entry beyond
-    the float range.  On exact columns, four Fractions, the determinant
-    and its sign are exact, and the columns and |det| become floats only
-    after the negation, each correctly rounded once."""
+    the float range.  On Fraction columns the determinant, its sign and
+    the negation are exact, and each entry and |det| meets a float only
+    after it, as float(F) op x, so each is correctly rounded once."""
     d = _det2(v, w)
     sgn = 1 if d > 0 else -1
     if sgn < 0:  # an exact 0 negates to 0, whose float is 0.0, not -0.0
         v, d = (-v[0], -v[1]), -d
     try:
-        if exact:
-            v, w, d = ((float(v[0]), float(v[1])),
-                       (float(w[0]), float(w[1])), float(d))
         r = 1.0 / math.sqrt(d)
         return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
     except OverflowError:
         raise SL2TorusError("witness beyond the float range") from None
 
 
-def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
-    """CB, or CC with O = xI + yP.  On an exact pair x, y and P's basis
-    are Fractions: the float code runs on them with tolerance 0, so the
-    vanishing coupling, eps2 and the sign of det(v1, w) are exact, and y
-    and the basis become floats only then, each correctly rounded once."""
+def _canon_C(P, t: SpectralType, xy, cfg: ToleranceConfig):
+    """CB, or CC with O = xI + yP.  x and y are Fractions only on an exact
+    pair, where P's basis is too: the float code runs on them with
+    tolerance 0, so the vanishing coupling, eps2 and the sign of det(v1, w)
+    are exact, and y and the basis become floats only then, once each."""
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
         # sign flips and the two signs are not related by any
         # unit-determinant conjugation
-        S, sgn = _unit_basis(v1, w, exact)
+        S, sgn = _unit_basis(v1, w)
         return "CB", {"eps1": t.eps, "eps3": sgn}, S, None, sgn
     # O w = y v1 + eps2 w, so the coupling U2 w - eps2 w = c v1 is c = y
     c = xy[1]
-    if abs(c) <= (0 if exact else cfg.param_tol):
+    if abs(c) <= (0 if type(c) is Fraction else cfg.param_tol):
         raise DegenerateCC(f"coupling scalar {c!r} vanishes within "
                            "tolerance")
     eps2 = 1 if xy[0] + c * t.eps > 0 else -1
@@ -249,7 +250,7 @@ def _canon_C(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
         alpha = base + math.pi
     cos_a = math.cos(alpha)
     # det(v1 / cos(alpha), w) = det(v1, w) / cos(alpha) > 0
-    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w, False)
+    S, _ = _unit_basis((v1[0] / cos_a, v1[1] / cos_a), w)
     return "CC", {"eps1": t.eps, "eps2": eps2, "alpha": alpha}, S, c, sgn
 
 
@@ -258,9 +259,9 @@ def _rotation_angle(si, co) -> float:
     return ang if ang > 0 else ang + _TWO_PI
 
 
-def _canon_D(P, t: SpectralType, xy, exact, cfg: ToleranceConfig):
+def _canon_D(P, t: SpectralType, xy, cfg: ToleranceConfig):
     # flipping the first basis vector applies angle -> 2*pi - angle
-    S, sgn = _unit_basis(*t.basis, False)
+    S, sgn = _unit_basis(*t.basis)
     R = conjugate(float_copy(P), S)  # the rotation by P's angle
     theta = _rotation_angle(R.c, R.a)
     if not xy:
@@ -335,12 +336,8 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     h1, t1, n1, k1, g1 = _traceless(U1, exact)
     h2, t2, n2, k2, g2 = _traceless(U2, exact)
     swap = g2 * n1 > g1 * n2
-    if swap:
-        P, O, k = U2, U1, k2
-        hP, hO, tP, tO, nP, nO = h2, h1, t2, t1, n2, n1
-    else:
-        P, O, k = U1, U2, k1
-        hP, hO, tP, tO, nP, nO = h1, h2, t1, t2, n1, n2
+    one, two = (U1, h1, t1, n1, k1), (U2, h2, t2, n2, k2)
+    (P, hP, tP, nP, k), (O, hO, tO, nO, _) = (two, one) if swap else (one, two)
     eps_o, o_scalar = scalar_band(O, cfg)
     t = classify(P, cfg)
     if t.tag == "B" and not o_scalar:
@@ -351,14 +348,13 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
     if not o_scalar:
         if hP[k] == 0:  # P is a scalar off +-I by more than class_tol
             raise SL2TorusError(f"basis of scalar {P!r} is degenerate")
-        if exact:  # y = yn / yd, and x = (tr O - y tr P) / 2 as below
-            y = Fraction(hO[k] * nP, hP[k] * nO)
-            yn, yd = y.numerator, y.denominator
-            xy = (Fraction(tO * nP * yd - yn * tP * nO, 2 * nO * nP * yd), y)
+        if exact:  # (x, y) in integers, x = (tr O - y tr P) / 2 as below
+            xy = (Fraction(tO * hP[k] - hO[k] * tP, 2 * nO * hP[k]),
+                  Fraction(hO[k] * nP, hP[k] * nO))
         else:
             y = hO[k] / hP[k]
             xy = ((tO - y * tP) / 2, y)
-    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, exact, cfg)
+    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, cfg)
     if o_scalar:
         params["eps2"] = eps_o
     if swap:  # P is U2

@@ -362,6 +362,11 @@ def test_embed_validates_ranges():
         embed(hacked)
     with pytest.raises(ParamOutOfRange):
         place(hacked.sector, hacked.params)
+    # a missing discrete or continuous parameter is out of range too
+    with pytest.raises(ParamOutOfRange, match="^BD has no parameter 'eps1'$"):
+        place("BD", {"phi": 1.0})
+    with pytest.raises(ParamOutOfRange, match="^DD has no parameter 'phi'$"):
+        place("DD", {"theta": 1.0})
 
 
 def test_embed_is_place_with_the_pair():

@@ -168,8 +168,7 @@ def test_bc_sign_is_sl2_invariant():
 def test_unit_basis_rejects_parallel_vectors(one):
     # a bare SL2TorusError, which the CLI reports as INTERNAL_VALIDATION
     with pytest.raises(SL2TorusError, match="degenerate") as exc:
-        _unit_basis((0 * one, one / 100000), (0 * one, one),
-                    type(one) is Fraction)
+        _unit_basis((0 * one, one / 100000), (0 * one, one))
     assert type(exc.value) is SL2TorusError
 
 
@@ -298,6 +297,8 @@ def test_reconstruct_dd():
     ("BC", {"eps1": 1, "eps2": 1, "eps4": 0}),
     ("DB", {"theta": math.nan, "eps2": 1}),
     ("ZZ", {}),
+    ("AB", {"lam": 0.5}),  # no eps2
+    ("AB", {"eps2": 1}),  # no lam
 ])
 def test_reconstruct_rejects_out_of_range(sector, params):
     with pytest.raises(ParamOutOfRange):
