@@ -20,7 +20,11 @@
 # - witness.json, written by python3 (standard library only), an exact CC
 #   pair whose entries fit a float but whose witness products do not, in
 #   both orders: canon exits 3 with an INTERNAL_VALIDATION and a
-#   PARAM_OUT_OF_RANGE line and an empty stderr.
+#   PARAM_OUT_OF_RANGE line and an empty stderr;
+# - tiny.json, the exact CC pair [[1, 1e-700], [0, 1]], [[1, 2e-700],
+#   [0, 1]], whose det 1 witness has an entry beyond the float range, in
+#   both orders: canon exits 3 with two INTERNAL_VALIDATION lines and an
+#   empty stderr.
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -70,3 +74,8 @@ rc=0; sl2torus canon witness.json --out witness.jsonl 2> witness.err || rc=$?
 test $rc -eq 3 && test ! -s witness.err || exit 1
 grep -F '"detail": "internal witness validation failed (CC, err beyond the float range)", "error": "INTERNAL_VALIDATION", "id": "given"' witness.jsonl || exit 1
 grep -F '"error": "PARAM_OUT_OF_RANGE", "id": "swapped"' witness.jsonl || exit 1
+e700=1$(printf '%0700d' 0)  # 10^700
+echo '{"pairs": [{"id": "given", "mode": "rational", "U1": [[1, [1, '$e700']], [0, 1]], "U2": [[1, [2, '$e700']], [0, 1]]}, {"id": "swapped", "mode": "rational", "U1": [[1, [2, '$e700']], [0, 1]], "U2": [[1, [1, '$e700']], [0, 1]]}]}' > tiny.json
+rc=0; sl2torus canon tiny.json --out tiny.jsonl 2> tiny.err || rc=$?
+test $rc -eq 3 && test ! -s tiny.err || exit 1
+test "$(grep -c '"detail": "witness beyond the float range", "error": "INTERNAL_VALIDATION"' tiny.jsonl)" -eq 2 || exit 1

@@ -205,26 +205,23 @@ def _canon_A(P, t: SpectralType, xy, cfg: ToleranceConfig):
 def _unit_basis(v, w):
     """Column matrix of v and w scaled to determinant 1, with v negated
     when det(v, w) < 0, and the sign of det(v, w).  SL2TorusError when v
-    and w are parallel, or when an exact column has a float entry beyond
-    the float range.  On Fraction columns the determinant, its sign and
+    and w are parallel.  On Fraction columns the determinant, its sign and
     the negation are exact, and each entry and |det| meets a float only
-    after it, as float(F) op x, so each is correctly rounded once."""
+    after it, as float(F) op x, so each is correctly rounded once; one
+    beyond the float range raises OverflowError there."""
     d = _det2(v, w)
     sgn = 1 if d > 0 else -1
     if sgn < 0:  # an exact 0 negates to 0, whose float is 0.0, not -0.0
         v, d = (-v[0], -v[1]), -d
-    try:
-        r = 1.0 / math.sqrt(d)
-        return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
-    except OverflowError:
-        raise SL2TorusError("witness beyond the float range") from None
+    r = 1.0 / math.sqrt(d)
+    return _columns((v[0] * r, v[1] * r), (w[0] * r, w[1] * r)), sgn
 
 
 def _canon_C(P, t: SpectralType, xy, cfg: ToleranceConfig):
     """CB, or CC with O = xI + yP.  x and y are Fractions only on an exact
     pair, where P's basis is too: the float code runs on them with
     tolerance 0, so the vanishing coupling, eps2 and the sign of det(v1, w)
-    are exact, and y and the basis become floats only then, once each."""
+    are exact; each meets a float only after that (see _unit_basis)."""
     v1, w = t.basis  # P v1 = eps v1, P w = v1 + eps w
     if not xy:
         # a negative basis is repaired with diag(-1, 1); the off-diagonal
@@ -239,12 +236,8 @@ def _canon_C(P, t: SpectralType, xy, cfg: ToleranceConfig):
                            "tolerance")
     eps2 = 1 if xy[0] + c * t.eps > 0 else -1
     sgn = 1 if _det2(v1, w) > 0 else -1
-    # the exact P of a mixed pair has a Fraction basis too; float(F) op x
-    # is F op x, without the mixed operation
-    cf = float(c)
-    v1, w = (float(v1[0]), float(v1[1])), (float(w[0]), float(w[1]))
-    base = math.atan(cf)  # in (-pi/2, pi/2), cos > 0
-    if sgn > 0:  # the sign of c, as cf can round to 0
+    base = math.atan(c)  # in (-pi/2, pi/2), cos > 0
+    if sgn > 0:  # the sign of c, as its float can round to 0
         alpha = base if c > 0 else base + _TWO_PI
     else:
         alpha = base + math.pi
@@ -354,7 +347,10 @@ def canonicalize(p: CommutingPair, cfg: ToleranceConfig = DEFAULT_TOL) -> Canoni
         else:
             y = hO[k] / hP[k]
             xy = ((tO - y * tP) / 2, y)
-    sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, cfg)
+    try:  # an exact basis entry meets a float beyond its range
+        sector, params, S, c, sgn = _FAMILY[t.tag](P, t, xy, cfg)
+    except OverflowError:
+        raise SL2TorusError("witness beyond the float range") from None
     if o_scalar:
         params["eps2"] = eps_o
     if swap:  # P is U2

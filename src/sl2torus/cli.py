@@ -40,7 +40,7 @@ from .errors import (
     SL2TorusError,
 )
 from .pairs import make_pair, spectral_types
-from .sl2 import ToleranceConfig, integer_form, make_sl2
+from .sl2 import ToleranceConfig, make_sl2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -253,7 +253,7 @@ def _canon_record(rec, where, mode, cfg):
             "branch_notes": list(result.trace.branch_notes),
         },
     }
-    if integer_form(p.U1) is not None:
+    if mode == "rational":
         # exact defining data of the irrational canonical angles
         exact = {}
         if result.sector == "CC":
@@ -262,9 +262,8 @@ def _canon_record(rec, where, mode, cfg):
         # U1 is elliptic in DB and DD, U2 in BD and DD
         for key, U, tag in (("cos_theta", p.U1, result.sector[0]),
                             ("cos_phi", p.U2, result.sector[1])):
-            if tag == "D":  # cos = tr / 2 = (A + D) / 2m
-                A, _, _, D, m = integer_form(U)
-                cos = Fraction(A + D, 2 * m)
+            if tag == "D":  # cos = tr / 2
+                cos = (U.a + U.d) / 2
                 exact[key] = [cos.numerator, cos.denominator]
         if exact:
             out["exact"] = exact

@@ -150,16 +150,16 @@ def is_exact(U: SL2Matrix) -> bool:
 def make_sl2(a, b, c, d, cfg: ToleranceConfig = DEFAULT_TOL) -> SL2Matrix:
     """Validating constructor; rejects (never renormalizes) non-unit det.
 
-    Four Fraction entries are kept and their determinant, tested in
-    integers, must be exactly 1; any other input is converted to floats.
+    Four Fraction entries are kept, and their integer form is built here,
+    once: A D - B C must be exactly m^2.  Any other input becomes floats.
     This is is_exact's test, on the arguments before a matrix is built."""
     if (type(a) is Fraction and type(b) is Fraction
             and type(c) is Fraction and type(d) is Fraction):
-        dad, dbc = a.denominator * d.denominator, b.denominator * c.denominator
-        if (a.numerator * d.numerator * dbc - b.numerator * c.numerator * dad
-                != dad * dbc):
+        U = SL2Matrix(a, b, c, d)
+        A, B, C, D, m = U._form = exact_integers(U)
+        if A * D - B * C != m * m:
             raise DeterminantError(a * d - b * c)
-        return SL2Matrix(a, b, c, d)
+        return U
     det = a * d - b * c
     # written so that a NaN determinant fails too
     if not abs(det - 1) <= cfg.det_tol:
@@ -197,9 +197,9 @@ def exact_integers(U: SL2Matrix):
 
 
 def integer_form(U: SL2Matrix):
-    """U's integer form: exact_integers(U) on an exact U, else None.  It is
-    built on first use and kept on the matrix, so every decision on U
-    reads it instead of testing U's entries again."""
+    """U's integer form: exact_integers(U) on an exact U, else None, built
+    by make_sl2 or on first use and kept on the matrix, so every decision
+    on U reads it instead of testing U's entries again."""
     try:
         return U._form
     except AttributeError:

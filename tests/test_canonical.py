@@ -718,6 +718,23 @@ def test_exact_witness_error_beyond_float_range_is_a_record_error():
         canonicalize(make_pair(U2, U1))
 
 
+@pytest.mark.parametrize("k", [600, 616, 617, 700])
+def test_tiny_cc_witness_beyond_float_range_is_domain_error(k):
+    # the CC pair [[1, 10^-k], [0, 1]], [[1, 2 10^-k], [0, 1]]: the pivot's
+    # det 1 witness has an entry near 6.7e307 at k = 616, past the float
+    # range at k = 617
+    U1, U2 = (make_sl2(Fraction(1), Fraction(b, 10**k), Fraction(0),
+                       Fraction(1)) for b in (1, 2))
+    for p in (make_pair(U1, U2), make_pair(U2, U1)):
+        if k <= 616:
+            assert canonicalize(p).sector == "CC"
+            continue
+        with pytest.raises(SL2TorusError) as exc:
+            canonicalize(p)
+        assert type(exc.value) is SL2TorusError
+        assert str(exc.value) == "witness beyond the float range"
+
+
 # --- the entry-wise witness check against the products it replaces --------
 
 float_matrices = st.builds(SL2Matrix, *[st.floats(-1e3, 1e3)] * 4)

@@ -319,25 +319,51 @@ def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
 
 
+def tiny_cc(k):
+    """The exact CC pair [[1, 10^-k], [0, 1]], [[1, 2 10^-k], [0, 1]]: the
+    det 1 witness of its pivot has an entry near 10^(k/2)."""
+    return [[1, [1, 10**k]], [0, 1]], [[1, [2, 10**k]], [0, 1]]
+
+
 @pytest.mark.parametrize("command", ["canon", "equiv"])
 def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
                                                     command):
-    # the det 1 basis of this Jordan block has a column near 2^1163
-    U1 = [[1, [1, 10**700]], [0, 1]]
+    # the det 1 basis of each Jordan block has a column near 2^1163: a CB
+    # pair, and a CC pair in both orders
+    V1, V2 = tiny_cc(700)
+    pairs = ((V1, IDENT), (V1, V2), (V2, V1))
     if command == "canon":
-        doc = pair_doc((U1, IDENT), (JORDAN, IDENT))
+        doc = pair_doc(*pairs, (JORDAN, IDENT))
     else:
-        doc = equiv_doc((U1, IDENT, JORDAN, IDENT),
+        doc = equiv_doc(*(p + (JORDAN, IDENT) for p in pairs),
                         (JORDAN, IDENT, JORDAN, IDENT))
     inp = write_doc(tmp_path, doc)
     out = tmp_path / "out.jsonl"
     assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
         == EXIT_DOMAIN
-    bad, good = read_lines(out)
-    assert (bad["error"], bad["detail"]) == \
-        ("INTERNAL_VALIDATION", "witness beyond the float range")
+    *bad, good = read_lines(out)
+    assert [(r["error"], r["detail"]) for r in bad] == 3 * [
+        ("INTERNAL_VALIDATION", "witness beyond the float range")]
     assert "error" not in good
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["canon", "equiv"])
+def test_tiny_cc_within_float_range_both_orders(tmp_path, command):
+    # the witness entry near 10^300 still fits a float
+    V1, V2 = tiny_cc(600)
+    if command == "canon":
+        doc = pair_doc((V1, V2), (V2, V1))
+    else:
+        doc = equiv_doc((V1, V2, V2, V1))
+    inp = write_doc(tmp_path, doc)
+    out = tmp_path / "out.jsonl"
+    assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
+        == EXIT_OK
+    answers = read_lines(out)
+    if command == "equiv":
+        answers = [answers[0]["left"], answers[0]["right"]]
+    assert [r["sector"] for r in answers] == ["CC", "CC"]
 
 
 def test_exact_witness_error_beyond_float_range_both_orders(tmp_path, capsys):
@@ -984,6 +1010,30 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{value!r} is not a finite number above 0" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "DD", "--count", "x"], "invalid int value: 'x'"),
+    (["plot", "ab", "--resolution", "x"], "invalid int value: 'x'"),
+    (["canon", "in.json", "--det-tol", "abc"], "invalid float value: 'abc'"),
+    # --out is no number, so it is not joined to --det-tol
+    (["canon", "in.json", "--det-tol", "--out", "f.jsonl"],
+     "--det-tol: expected one argument"),
+], ids=["count", "resolution", "det-tol", "det-tol-missing"])
+def test_unparsable_option_values_rejected(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".svg", ".csv"])
+def test_plot_out_suffix_is_dropped(tmp_path, suffix):
+    # --out fig.svg and --out fig.csv both name the pair fig.csv, fig.svg
+    assert main(["plot", "ab", "--resolution", "1",
+                 "--out", str(tmp_path / f"fig{suffix}")]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.csv",
+                                                          "fig.svg"]
 
 
 def test_smallest_counts_accepted(tmp_path):
