@@ -24,7 +24,10 @@
 # - tiny.json, the exact CC pair [[1, 1e-700], [0, 1]], [[1, 2e-700],
 #   [0, 1]], whose det 1 witness has an entry beyond the float range, in
 #   both orders: canon exits 3 with two INTERNAL_VALIDATION lines and an
-#   empty stderr.
+#   empty stderr;
+# - swap.json, the exact CC pair [[1, -1e-16], [0, 1]] beside the pivot
+#   U2 = [[1, 1], [0, 1]]: canon answers CC with alpha = pi/2 + 1e-16
+#   correctly rounded, 1.5707963267948968, and exit 0.
 set -eo pipefail  # as GitHub Actions runs a bash step
 cd "$(mktemp -d)"
 for s in AA2 BB CC DD; do sl2torus sample $s --count 3 --conjugate --seed 1 --out $s.json && sl2torus canon $s.json || exit 1; done
@@ -79,3 +82,6 @@ echo '{"pairs": [{"id": "given", "mode": "rational", "U1": [[1, [1, '$e700']], [
 rc=0; sl2torus canon tiny.json --out tiny.jsonl 2> tiny.err || rc=$?
 test $rc -eq 3 && test ! -s tiny.err || exit 1
 test "$(grep -c '"detail": "witness beyond the float range", "error": "INTERNAL_VALIDATION"' tiny.jsonl)" -eq 2 || exit 1
+echo '{"pairs": [{"id": "swap", "mode": "rational", "U1": [[1, [-1, 10000000000000000]], [0, 1]], "U2": [[1, 1], [0, 1]]}]}' > swap.json
+sl2torus canon swap.json --out swap.jsonl || exit 1
+grep -F '"alpha": 1.5707963267948968, "eps1": 1, "eps2": 1}, "sector": "CC"' swap.jsonl || exit 1

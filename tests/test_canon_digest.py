@@ -29,7 +29,7 @@ from test_exact_golden import _canonical, _conjugator
 
 SEEDS = range(40)
 COUPLING_EXPONENTS = (3, 12, 30, 200, 400)
-DIGEST = "e7c598a9f87a647408764f12c84e7d1b9228a102f4d8be98b18bda3a1e412c77"
+DIGEST = "bd64ef86728734031daa540d4761d574312dae051c60e2655a7fa4502e363ac0"
 
 
 def _fractions(U):
