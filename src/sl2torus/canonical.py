@@ -290,8 +290,8 @@ def _exchange(sector, params, S, c, sgn):
     params = {_EXCHANGE_PARAM[k]: v for k, v in params.items()}
     if sector == "AA2":  # S [[0, 1], [-1, 0]] swaps the diagonal
         S, sgn = SL2Matrix(-S.b, S.a, -S.d, S.c), -sgn
-    elif sector == "CC":  # q pi/2 - atan(c) = (pi/2 - alpha) mod 2 pi,
-        q = 1 if sgn > 0 else 3  # with the 6.1e-17 that math.pi / 2 lacks
+    elif sector == "CC":  # (pi/2 - alpha) mod 2 pi is q pi/2 - atan(c);
+        q = 1 if sgn > 0 else 3  # math.pi / 2 is 6.1e-17 short of pi/2
         params["alpha"] = q * (math.pi / 2) - (
             math.atan(c) - q * 6.123233995736766e-17)
         c, sgn = 1 / c, -sgn if c < 0 else sgn

@@ -719,7 +719,7 @@ def test_exact_witness_error_beyond_float_range_is_a_record_error():
 
 
 @pytest.mark.parametrize("k", [600, 616, 617, 700])
-def test_tiny_cc_witness_beyond_float_range_is_domain_error(k):
+def test_tiny_cc_witness_float_range_both_orders(k):
     # the CC pair [[1, 10^-k], [0, 1]], [[1, 2 10^-k], [0, 1]]: the pivot's
     # det 1 witness has an entry near 6.7e307 at k = 616, past the float
     # range at k = 617

@@ -284,8 +284,13 @@ def test_reader_accepts_what_the_schema_accepts(doc_path, key, data):
         assert reader_accepts(str(doc_path), key) == valid, doc
 
 
-# An exact parabolic part far below the float range: 10^-400 rounds to 0.0.
-TINY_C = [[1, [1, 10**400]], [0, 1]]
+def tiny_c(k, b=1):
+    """[[1, b 10^-k], [0, 1]], an exact parabolic part far below the float
+    range for k = 400 on: 10^-400 rounds to 0.0."""
+    return [[1, [b, 10**k]], [0, 1]]
+
+
+TINY_C = tiny_c(400)
 
 
 def test_classify_rational_below_float_range(tmp_path):
@@ -298,31 +303,30 @@ def test_classify_rational_below_float_range(tmp_path):
     assert rec["type2"] == {"tag": "B", "eps": 1}
 
 
-@pytest.mark.parametrize("U2,sector,params", [
-    (IDENT, "CB", {"eps1": 1, "eps2": 1, "eps3": 1}),
-    ([[1, [2, 10**400]], [0, 1]], "CC",
+@pytest.mark.parametrize("U1,U2,sector,params", [
+    (TINY_C, IDENT, "CB", {"eps1": 1, "eps2": 1, "eps3": 1}),
+    (TINY_C, tiny_c(400, 2), "CC",
      {"eps1": 1, "eps2": 1, "alpha": math.atan(2)}),
-], ids=["CB", "CC"])
-def test_canon_rational_below_float_range(tmp_path, U2, sector, params):
-    inp = write_doc(tmp_path, pair_doc((TINY_C, U2)))
+    # a witness entry near 10^300 still fits a float, in either order
+    (tiny_c(600), tiny_c(600, 2), "CC",
+     {"eps1": 1, "eps2": 1, "alpha": math.atan(2)}),
+    (tiny_c(600, 2), tiny_c(600), "CC",
+     {"eps1": 1, "eps2": 1, "alpha": math.atan(0.5)}),
+], ids=["CB", "CC", "CC-600", "CC-600-swapped"])
+def test_canon_rational_below_float_range(tmp_path, U1, U2, sector, params):
+    inp = write_doc(tmp_path, pair_doc((U1, U2)))
     out = tmp_path / "out.jsonl"
     assert main(["canon", inp, "--out", str(out), "--mode", "rational"]) \
         == EXIT_OK
     rec = read_lines(out)[0]
     assert (rec["sector"], rec["params"]) == (sector, pytest.approx(params))
-    # the witness, about diag(10^-200, 10^200), checked exactly
+    # the witness, about diag(10^-k/2, 10^k/2), checked exactly
     W = SL2Matrix(*(Fraction(x) for row in rec["witness"] for x in row))
     target = reconstruct(sector, rec["params"])
-    for U, T in ((TINY_C, target.U1), (U2, target.U2)):
+    for U, T in ((U1, target.U1), (U2, target.U2)):
         U = SL2Matrix(*(Fraction(*x) if type(x) is list else Fraction(x)
                         for row in U for x in row))
         assert conjugate(U, W).max_abs_diff(T) <= 1e-9
-
-
-def tiny_cc(k):
-    """The exact CC pair [[1, 10^-k], [0, 1]], [[1, 2 10^-k], [0, 1]]: the
-    det 1 witness of its pivot has an entry near 10^(k/2)."""
-    return [[1, [1, 10**k]], [0, 1]], [[1, [2, 10**k]], [0, 1]]
 
 
 @pytest.mark.parametrize("command", ["canon", "equiv"])
@@ -330,7 +334,7 @@ def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
                                                     command):
     # the det 1 basis of each Jordan block has a column near 2^1163: a CB
     # pair, and a CC pair in both orders
-    V1, V2 = tiny_cc(700)
+    V1, V2 = tiny_c(700), tiny_c(700, 2)
     pairs = ((V1, IDENT), (V1, V2), (V2, V1))
     if command == "canon":
         doc = pair_doc(*pairs, (JORDAN, IDENT))
@@ -346,24 +350,6 @@ def test_witness_beyond_float_range_is_record_error(tmp_path, capsys,
         ("INTERNAL_VALIDATION", "witness beyond the float range")]
     assert "error" not in good
     assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("command", ["canon", "equiv"])
-def test_tiny_cc_within_float_range_both_orders(tmp_path, command):
-    # the witness entry near 10^300 still fits a float
-    V1, V2 = tiny_cc(600)
-    if command == "canon":
-        doc = pair_doc((V1, V2), (V2, V1))
-    else:
-        doc = equiv_doc((V1, V2, V2, V1))
-    inp = write_doc(tmp_path, doc)
-    out = tmp_path / "out.jsonl"
-    assert main([command, inp, "--out", str(out), "--mode", "rational"]) \
-        == EXIT_OK
-    answers = read_lines(out)
-    if command == "equiv":
-        answers = [answers[0]["left"], answers[0]["right"]]
-    assert [r["sector"] for r in answers] == ["CC", "CC"]
 
 
 def test_exact_witness_error_beyond_float_range_both_orders(tmp_path, capsys):
